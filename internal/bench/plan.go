@@ -210,10 +210,11 @@ func (r *Runner) workers() int {
 
 // Prefetch executes every run the named figures need on the harness
 // worker pool and fills the Runner's caches. Each job owns a value-copied
-// scenario, its own seeded RNGs (derived from the scenario seed) and a
-// private obs registry — no mutable state is shared across jobs — and
-// results are aggregated back in submission order. Keys already cached
-// and duplicates across figures are skipped before dispatch.
+// scenario, its own seeded RNGs (derived from the scenario seed), a
+// private obs registry and, with Causal set, a private profiler — no
+// mutable state is shared across jobs — and results are aggregated back in
+// submission order. Keys already cached and duplicates across figures are
+// skipped before dispatch.
 func (r *Runner) Prefetch(figs ...string) {
 	type outcome struct {
 		key      string
@@ -285,7 +286,7 @@ func (r *Runner) Prefetch(figs ...string) {
 			if r.Observe || j.observed {
 				sc.Obs = obs.New() // private registry per job
 			}
-			return outcome{key: j.key, observed: j.observed, res: overlay.Run(sc)}
+			return outcome{key: j.key, observed: j.observed, res: overlay.RunProbed(sc, r.probes())}
 		}})
 	}
 	for _, sys := range webJobs {

@@ -95,6 +95,17 @@ func renderAll(t *testing.T, fig string, workers int) (string, []byte) {
 	t.Helper()
 	r := fastRunner()
 	r.Parallel = workers
+	text, a := render(t, r, fig)
+	var buf bytes.Buffer
+	if err := a.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return text, buf.Bytes()
+}
+
+// render builds fig on r and returns the text rendering and the artifact.
+func render(t *testing.T, r *Runner, fig string) (string, *Artifact) {
+	t.Helper()
 	tables, err := r.Tables(fig)
 	if err != nil {
 		t.Fatal(err)
@@ -104,11 +115,7 @@ func renderAll(t *testing.T, fig string, workers int) (string, []byte) {
 		text.WriteString(tab.Render())
 		text.WriteByte('\n')
 	}
-	var buf bytes.Buffer
-	if err := r.Artifact(fig, tables).WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return text.String(), buf.Bytes()
+	return text.String(), r.Artifact(fig, tables)
 }
 
 // TestParallelMatchesSerialGolden is the harness's headline guarantee:
@@ -133,6 +140,39 @@ func TestParallelMatchesSerialGolden(t *testing.T) {
 				t.Errorf("parallel artifact JSON diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serialJSON, parJSON)
 			}
 		})
+	}
+}
+
+// TestPrefetchKeepsProbes pins probe-purity under the worker pool: with
+// Causal set, the runs Prefetch executes carry the same causal breakdowns a
+// serial build records, so a parallel probed artifact is byte-identical to
+// the serial one and every record has a breakdown.
+func TestPrefetchKeepsProbes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig 8 twice")
+	}
+	var texts [2]string
+	var arts [2][]byte
+	for i, workers := range []int{1, 2} {
+		r := fastRunner()
+		r.Parallel, r.Causal = workers, true
+		text, a := render(t, r, "8")
+		for _, rec := range a.Runs {
+			if len(rec.Breakdown) == 0 {
+				t.Errorf("Parallel=%d: record %s has no causal breakdown", workers, rec.Name)
+			}
+		}
+		var buf bytes.Buffer
+		if err := a.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		texts[i], arts[i] = text, buf.Bytes()
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("probed parallel tables diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", texts[0], texts[1])
+	}
+	if !bytes.Equal(arts[0], arts[1]) {
+		t.Error("probed parallel artifact JSON diverged from serial")
 	}
 }
 

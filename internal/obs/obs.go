@@ -80,8 +80,10 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*metrics.Histogram
 
-	probes   []probe
-	sampling bool
+	probes []probe
+	// tick is the running sampler's event (nil when stopped); it pins the
+	// scheduler, so StopSampler drops it along with the probes.
+	tick *samplerTick
 	// Samples counts sampler ticks taken so far.
 	Samples uint64
 }

@@ -157,6 +157,33 @@ func TestSamplerDoubleStart(t *testing.T) {
 	}
 }
 
+// TestStopSamplerReleasesProbes pins the run-lifetime contract: a stopped
+// sampler keeps its histograms but no depth function (those close over the
+// simulation), and a restart after re-registering does not revive the
+// stale tick still pending from the first start.
+func TestStopSamplerReleasesProbes(t *testing.T) {
+	r := New()
+	sched := sim.NewScheduler(1)
+	r.SampleQueue("q", func() int { return 3 })
+	r.StartSampler(sched, 100)
+	sched.RunUntil(1000)
+	r.StopSampler()
+	if r.probes != nil || r.tick != nil {
+		t.Fatalf("stopped sampler still holds probes=%d tick=%v", len(r.probes), r.tick)
+	}
+	m, ok := r.Snapshot().Get("queue_depth", "queue", "q")
+	if !ok || m.Count != 10 || m.Max != 3 {
+		t.Fatalf("queue_depth after stop: ok=%v %+v", ok, m)
+	}
+	r.StartSampler(sched, 100) // nothing registered: no-op
+	r.SampleQueue("q", func() int { return 3 })
+	r.StartSampler(sched, 100)
+	sched.RunUntil(2000)
+	if r.Samples != 20 {
+		t.Errorf("restarted sampler took %d samples, want 20 (stale tick revived?)", r.Samples)
+	}
+}
+
 func TestGapToCachesAndRecords(t *testing.T) {
 	r := New()
 	rec := r.GapTo("merge")

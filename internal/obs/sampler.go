@@ -43,8 +43,8 @@ type samplerTick struct {
 
 // Handle implements sim.Handler.
 func (t *samplerTick) Handle(any, sim.Time) {
-	if !t.r.sampling {
-		return
+	if t.r.tick != t {
+		return // stopped (and possibly restarted with a tick of its own)
 	}
 	for _, p := range t.r.probes {
 		p.hist.Record(int64(p.depth()))
@@ -56,21 +56,28 @@ func (t *samplerTick) Handle(any, sim.Time) {
 // StartSampler begins periodic sampling of every registered queue on sched's
 // simulated clock (interval <= 0 selects DefaultSampleInterval). The sampler
 // reschedules itself until StopSampler is called or the scheduler's horizon
-// ends; starting an already-running sampler is a no-op.
+// ends; starting an already-running sampler, or one with no registered
+// queues, is a no-op.
 func (r *Registry) StartSampler(sched *sim.Scheduler, interval sim.Duration) {
-	if r == nil || r.sampling || len(r.probes) == 0 {
+	if r == nil || r.tick != nil || len(r.probes) == 0 {
 		return
 	}
 	if interval <= 0 {
 		interval = DefaultSampleInterval
 	}
-	r.sampling = true
-	sched.AfterHandler(interval, &samplerTick{r: r, sched: sched, interval: interval}, nil)
+	r.tick = &samplerTick{r: r, sched: sched, interval: interval}
+	sched.AfterHandler(interval, r.tick, nil)
 }
 
-// StopSampler halts periodic sampling (the pending tick becomes a no-op).
+// StopSampler halts periodic sampling (the pending tick becomes a no-op)
+// and releases the registered probes. Their depth functions close over the
+// sampled queues — and through them the whole simulation — so a registry
+// that outlives its run must not keep them; the queue_depth histograms the
+// probes filled stay in the registry. Queues must be registered again
+// before the sampler can restart.
 func (r *Registry) StopSampler() {
 	if r != nil {
-		r.sampling = false
+		r.tick = nil
+		r.probes = nil
 	}
 }

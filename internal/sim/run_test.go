@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 // runLink is the test chain type: a minimal RunLink carrying an id so
 // dispatch order can be asserted.
@@ -67,11 +72,35 @@ func withCoalescing(on bool, f func()) {
 	f()
 }
 
+// slabLeak describes how a drained scheduler's refs slab falls short of
+// being wholly free — every slot on the free list exactly once, zeroed —
+// or returns "" when it is.
+func slabLeak(s *Scheduler) string {
+	if p := s.Pending(); p != 0 {
+		return fmt.Sprintf("Pending() = %d on a drained scheduler", p)
+	}
+	if len(s.free) != len(s.refs) {
+		return fmt.Sprintf("%d of %d slab slots on the free list", len(s.free), len(s.refs))
+	}
+	seen := make([]bool, len(s.refs))
+	for _, r := range s.free {
+		if int(r) >= len(seen) || seen[r] {
+			return fmt.Sprintf("free list %v is not a permutation of the slab", s.free)
+		}
+		seen[r] = true
+		if s.refs[r] != (evRef{}) {
+			return fmt.Sprintf("free slot %d retains %+v", r, s.refs[r])
+		}
+	}
+	return ""
+}
+
 // runScript drives one scheduler through a fixed mixed workload — single
 // events, runs (including same-instant chains), an interleaved run scheduled
 // from inside a handler, and a partial-horizon RunUntil — and returns the
-// dispatch log and final clock.
-func runScript() (ids []int, times []Time, now Time, pend int) {
+// dispatch log and final clock. It fails t if the drained scheduler's slab
+// leaks a slot.
+func runScript(t *testing.T) (ids []int, times []Time, now Time, pend int) {
 	s := NewScheduler(1)
 	h := &logH{}
 	s.AtHandler(10, h, 1)
@@ -87,6 +116,9 @@ func runScript() (ids []int, times []Time, now Time, pend int) {
 	s.RunUntil(14)
 	pend = s.Pending()
 	now = s.RunUntil(100)
+	if leak := slabLeak(s); leak != "" {
+		t.Errorf("coalescing=%v: %s", CoalescingEnabled(), leak)
+	}
 	return h.ids, h.times, now, pend
 }
 
@@ -98,8 +130,8 @@ func TestScheduleRunMatchesEager(t *testing.T) {
 	var lazyTimes, eagerTimes []Time
 	var lazyNow, eagerNow Time
 	var lazyPend, eagerPend int
-	withCoalescing(true, func() { lazyIDs, lazyTimes, lazyNow, lazyPend = runScript() })
-	withCoalescing(false, func() { eagerIDs, eagerTimes, eagerNow, eagerPend = runScript() })
+	withCoalescing(true, func() { lazyIDs, lazyTimes, lazyNow, lazyPend = runScript(t) })
+	withCoalescing(false, func() { eagerIDs, eagerTimes, eagerNow, eagerPend = runScript(t) })
 
 	if len(lazyIDs) != len(eagerIDs) {
 		t.Fatalf("dispatch counts differ: lazy %d eager %d", len(lazyIDs), len(eagerIDs))
@@ -361,5 +393,79 @@ func TestWorkerStealQueueRecyclesBuffer(t *testing.T) {
 	}
 	if w.StealQueue() != nil {
 		t.Fatalf("StealQueue on empty queue should return nil")
+	}
+}
+
+// TestEventRecordIsPointerFree pins the heap record's layout: no field the
+// garbage collector would have to scan (so sift copies take no write
+// barriers), and no wider than 24 bytes.
+func TestEventRecordIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); hasPointers(f.Type) {
+			t.Errorf("event.%s (%s) carries pointers", f.Name, f.Type)
+		}
+	}
+	if sz := unsafe.Sizeof(event{}); sz > 24 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want <= 24", sz)
+	}
+}
+
+// hasPointers reports whether values of t hold any pointer the garbage
+// collector scans.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // pointers, strings, slices, maps, chans, funcs, interfaces
+}
+
+// TestSlabDrainsToFreeList checks the slab's leak property in both
+// coalescing modes over runs cut by Stop and by RunUntil horizons: once the
+// scheduler drains, every slot is free and zeroed. It also pins slot reuse:
+// with coalescing on, a whole run occupies a single slab slot.
+func TestSlabDrainsToFreeList(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		withCoalescing(on, func() {
+			s := NewScheduler(1)
+			h := &logH{}
+			head, at, n := chain([2]int{1, 5}, [2]int{2, 5}, [2]int{3, 9}, [2]int{4, 30})
+			s.ScheduleRun(h, head, at, n)
+			s.AtHandler(7, h, 5)
+			s.At(8, func() {
+				s.Stop()
+				s.AtHandler(8, h, 6)
+			})
+			s.RunUntil(20) // stops at 8 with a run entry and event 6 pending
+			s.RunUntil(20) // parks at the horizon mid-run
+			s.Run()
+			if leak := slabLeak(s); leak != "" {
+				t.Errorf("coalescing=%v: %s", on, leak)
+			}
+
+			s = NewScheduler(1)
+			head, at, n = chain([2]int{1, 1}, [2]int{2, 2}, [2]int{3, 3}, [2]int{4, 4})
+			s.ScheduleRun(h, head, at, n)
+			s.Run()
+			want := 1
+			if !on {
+				want = n
+			}
+			if len(s.refs) != want {
+				t.Errorf("coalescing=%v: %d-entry run used %d slab slots, want %d", on, n, len(s.refs), want)
+			}
+		})
 	}
 }

@@ -54,22 +54,31 @@ func SetCoalescing(on bool) (restore func()) {
 // CoalescingEnabled reports whether run coalescing is active.
 func CoalescingEnabled() bool { return !disableCoalesce }
 
-// event is a single pending callback in the simulation: a handler/argument
-// pair. Closures scheduled through At ride the same shape via closureH
-// (the func value travels in arg), keeping the struct at 56 bytes — worth
-// real wall clock, since every sift copies events and the heap sees tens of
-// millions of operations per figure sweep.
-//
-// An event with runEnd > seq is the materialized head of a lazily-emitted
-// run (see ScheduleRun): arg implements RunLink, seqs seq..runEnd were
-// reserved for the run when it was scheduled, and firing this event
-// re-materializes the successor entry with seq+1 before the handler runs.
+// event is one pending entry in the heap (or the inline slot): its (at, seq)
+// ordering key plus ref, the index of its dispatch payload in the
+// scheduler's refs slab. It holds no pointers, so the 24-byte records the
+// heap sifts tens of millions of times per figure sweep are never scanned by
+// the garbage collector and their copies take no write barriers.
 type event struct {
-	at     Time
-	seq    uint64 // tiebreaker: FIFO among events scheduled for the same instant
-	runEnd uint64 // last reserved seq of this event's run (0 / <= seq: not a run)
+	at  Time
+	seq uint64 // tiebreaker: FIFO among events scheduled for the same instant
+	ref uint32 // index into Scheduler.refs
+}
+
+// evRef is an event's dispatch payload, kept out of the heap in the
+// scheduler's slab. Closures scheduled through At ride the same shape via
+// closureH (the func value travels in arg).
+//
+// An entry with runEnd > seq of its event is the materialized head of a
+// lazily-emitted run (see ScheduleRun): arg implements RunLink, seqs
+// seq..runEnd were reserved for the run when it was scheduled, and firing
+// the event re-materializes the successor entry with seq+1 before the
+// handler runs. The successor reuses the same slab entry, so a whole run
+// occupies one ref from head to tail.
+type evRef struct {
 	h      Handler
 	arg    any
+	runEnd uint64 // last reserved seq of this entry's run (0 / <= seq: not a run)
 }
 
 // closureH adapts At's closure path onto the handler dispatch: the func
@@ -137,11 +146,19 @@ func (st *SchedStats) Merge(o SchedStats) {
 // event performs zero heap allocations once the slice has grown) and does
 // ~half the comparisons per sift on typical queue depths, which matters
 // because every simulated packet crosses the pending set several times.
+// Handlers and args live in the refs slab, recycled through a LIFO free
+// list, so the heap itself is pointer-free.
 type Scheduler struct {
 	now     Time
 	seq     uint64
 	events  []event
 	stopped bool
+
+	// refs is the dispatch-payload slab events index into; free stacks the
+	// indices of vacant entries (zeroed, so the slab never retains a
+	// handler, closure or skb past its event's dispatch).
+	refs []evRef
+	free []uint32
 
 	// slot is the inline fast path: it may hold at most one event, and
 	// only one that fires before everything in the heap (checked at
@@ -191,7 +208,7 @@ func (s *Scheduler) At(t Time, fn func()) {
 	}
 	s.seq++
 	s.stats.Scheduled++
-	e := event{at: t, seq: s.seq, h: closureH{}, arg: fn}
+	e := event{at: t, seq: s.seq, ref: s.newRef(closureH{}, fn, 0)}
 	if !s.trySlot(&e) {
 		s.push(e)
 	}
@@ -212,7 +229,7 @@ func (s *Scheduler) AtHandler(t Time, h Handler, arg any) {
 	}
 	s.seq++
 	s.stats.Scheduled++
-	e := event{at: t, seq: s.seq, h: h, arg: arg}
+	e := event{at: t, seq: s.seq, ref: s.newRef(h, arg, 0)}
 	if !s.trySlot(&e) {
 		s.push(e)
 	}
@@ -260,7 +277,7 @@ func (s *Scheduler) ScheduleRun(h Handler, head RunLink, headAt Time, n int) {
 				at = s.now
 			}
 			s.seq++
-			e := event{at: at, seq: s.seq, h: h, arg: cur}
+			e := event{at: at, seq: s.seq, ref: s.newRef(h, cur, 0)}
 			if !s.trySlot(&e) {
 				s.push(e)
 			}
@@ -274,30 +291,46 @@ func (s *Scheduler) ScheduleRun(h Handler, head RunLink, headAt Time, n int) {
 	s.seq += uint64(n)
 	s.stats.Coalesced += uint64(n - 1)
 	s.deferred += n - 1
-	e := event{at: headAt, seq: base, runEnd: base + uint64(n-1), h: h, arg: head}
+	e := event{at: headAt, seq: base, ref: s.newRef(h, head, base+uint64(n-1))}
 	if !s.trySlot(&e) {
 		s.push(e)
 	}
 }
 
+// newRef stores an event's dispatch payload in the slab, reusing the most
+// recently freed entry when there is one, and returns its index.
+func (s *Scheduler) newRef(h Handler, arg any, runEnd uint64) uint32 {
+	if n := len(s.free) - 1; n >= 0 {
+		r := s.free[n]
+		s.free = s.free[:n]
+		s.refs[r] = evRef{h: h, arg: arg, runEnd: runEnd}
+		return r
+	}
+	s.refs = append(s.refs, evRef{h: h, arg: arg, runEnd: runEnd})
+	return uint32(len(s.refs) - 1)
+}
+
 // advanceRun materializes the successor of a firing run entry: the link is
 // read and cleared first (the handler about to run may recycle the entry),
-// then the successor enters the pending set under its pre-reserved seq.
-func (s *Scheduler) advanceRun(e *event) {
-	link := e.arg.(RunLink)
+// then the successor enters the pending set under its pre-reserved seq,
+// reusing the firing entry's slab slot. It reports whether a successor was
+// materialized; if not, the run is over and the caller frees the slot.
+func (s *Scheduler) advanceRun(e event, link RunLink) bool {
 	next, at := link.NextRun()
 	link.SetNextRun(nil, 0)
 	if next == nil {
-		return
+		return false
 	}
 	s.deferred--
 	if at < s.now {
 		at = s.now
 	}
-	ne := event{at: at, seq: e.seq + 1, runEnd: e.runEnd, h: e.h, arg: next}
+	s.refs[e.ref].arg = next
+	ne := event{at: at, seq: e.seq + 1, ref: e.ref}
 	if !s.trySlot(&ne) {
 		s.push(ne)
 	}
+	return true
 }
 
 // trySlot claims the inline slot for e if it provably fires before
@@ -309,9 +342,9 @@ func (s *Scheduler) advanceRun(e *event) {
 // one far-future event. Either way the pending set is the same heap ∪ slot
 // multiset, and dispatch always takes the minimum of slot and heap head by
 // (at, seq), so ordering is identical to a pure heap — the slot is purely a
-// heap-traffic bypass, never an ordering shortcut. trySlot and push are each
-// within the inlining budget, so every schedule path constructs its event
-// exactly once.
+// heap-traffic bypass, never an ordering shortcut. trySlot takes e by
+// pointer and push is within the inlining budget, so every schedule path
+// constructs its event exactly once.
 func (s *Scheduler) trySlot(e *event) bool {
 	if disableCoalesce {
 		return false
@@ -351,9 +384,8 @@ func (s *Scheduler) push(e event) {
 	h[i] = e
 }
 
-// pop removes and returns the earliest heap event. The vacated tail slot is
-// zeroed so the heap does not retain closures, handlers or skbs beyond the
-// event's lifetime.
+// pop removes and returns the earliest heap event. The vacated tail slot
+// needs no clearing: events hold no pointers, so nothing is retained.
 func (s *Scheduler) pop() event {
 	s.stats.HeapPops++
 	if n := len(s.events); n > s.stats.PeakHeap {
@@ -363,7 +395,6 @@ func (s *Scheduler) pop() event {
 	root := h[0]
 	n := len(h) - 1
 	e := h[n]
-	h[n] = event{}
 	s.events = h[:n]
 	if n > 0 {
 		// Sift the former tail down from the root.
@@ -437,7 +468,6 @@ func (s *Scheduler) RunUntil(until Time) Time {
 				return s.now
 			}
 			e = s.slot
-			s.slot = event{}
 			s.slotFull = false
 			s.stats.Inlined++
 		} else {
@@ -448,12 +478,17 @@ func (s *Scheduler) RunUntil(until Time) Time {
 			e = s.pop()
 		}
 		s.now = e.at
-		if e.runEnd > e.seq {
-			// A run head/member: materialize its successor (with its
-			// pre-reserved seq) before the handler can recycle the entry.
-			s.advanceRun(&e)
+		// Copy the payload out first: the handler may grow the slab or reuse
+		// a freed slot. A run entry with a successor hands its slot on
+		// (advanceRun materializes the successor, with its pre-reserved seq,
+		// before the handler can recycle the entry); any other event frees it.
+		r := &s.refs[e.ref]
+		h, arg := r.h, r.arg
+		if r.runEnd <= e.seq || !s.advanceRun(e, arg.(RunLink)) {
+			*r = evRef{}
+			s.free = append(s.free, e.ref)
 		}
-		e.h.Handle(e.arg, s.now)
+		h.Handle(arg, s.now)
 	}
 	// Drained or stopped before the horizon: park the clock where the
 	// last event ran.

@@ -58,8 +58,12 @@ type Worker[T any] struct {
 	// (e.g. socket delivery-copy workers).
 	ServeLog func(item T, start, end Time)
 
+	// The FIFO is queue[head:]: a poll round takes its batch in place and
+	// advances head, so the undrained backlog is not copied every round.
+	// The consumed prefix is reclaimed when the round ends (see compact).
 	queue     []T
-	spare     []T // recycled backing buffer, ping-ponged with queue per poll
+	head      int
+	spare     []T // recycled backing buffer StealQueue swaps in for queue
 	scheduled bool
 	pollTag   string // Name+"/poll", concatenated once
 	chainKind int8   // 0 undecided, 1 T implements RunLink, 2 it doesn't
@@ -104,7 +108,7 @@ func NewWorker[T any](name string, core *Core, sched *Scheduler, cost func(T) Du
 }
 
 // Len returns the current queue depth.
-func (w *Worker[T]) Len() int { return len(w.queue) }
+func (w *Worker[T]) Len() int { return len(w.queue) - w.head }
 
 // StealQueue removes and returns every queued item (nil when empty). The
 // overload watchdog uses it to re-steer work pending on a stalled core; any
@@ -112,27 +116,27 @@ func (w *Worker[T]) Len() int { return len(w.queue) }
 // items keep their Enqueued accounting — the thief re-enqueues them on
 // another worker, which counts them there.
 //
-// The returned slice is the worker's own queue buffer (its ping-pong spare
+// The returned slice is the worker's own queue buffer (its spare buffer
 // takes over as the live queue), not a copy: the caller must consume it
-// before this worker next polls or is stolen from again, which the
-// single-threaded simulation guarantees for any caller that drains the
-// batch synchronously — as the watchdog does. Re-enqueueing onto a
-// *different* worker while iterating is safe; re-enqueueing onto this one
-// would append into the very buffer being iterated.
+// before this worker is stolen from again, which the single-threaded
+// simulation guarantees for any caller that drains the batch synchronously
+// — as the watchdog does. Re-enqueueing while iterating is safe, onto any
+// worker: this one now appends into its spare buffer.
 func (w *Worker[T]) StealQueue() []T {
-	if len(w.queue) == 0 {
+	if w.Len() == 0 {
 		return nil
 	}
-	out := w.queue
-	w.queue = w.spare[:0]
-	w.spare = out[:0] // recycle out's buffer once the caller is done with it
+	buf := w.queue
+	out := buf[w.head:]
+	w.queue, w.head = w.spare[:0], 0
+	w.spare = buf[:0] // recycle the buffer once the caller is done with it
 	return out
 }
 
 // Idle reports whether the worker has no queued items and no pending poll —
 // i.e. the next enqueue will raise it from idle (costing an IRQ in stages
 // that model interrupt-driven wakeup).
-func (w *Worker[T]) Idle() bool { return len(w.queue) == 0 && !w.scheduled }
+func (w *Worker[T]) Idle() bool { return w.Len() == 0 && !w.scheduled }
 
 // Enqueue appends an item to the worker's queue, scheduling a poll round if
 // the worker is idle. It reports whether the item was accepted (false means
@@ -141,14 +145,14 @@ func (w *Worker[T]) Enqueue(item T) bool {
 	if w.Gate != nil && !w.Gate(item) {
 		return false
 	}
-	if w.Cap > 0 && len(w.queue) >= w.Cap {
+	if w.Cap > 0 && w.Len() >= w.Cap {
 		w.Dropped++
 		return false
 	}
 	w.queue = append(w.queue, item)
 	w.Enqueued++
-	if len(w.queue) > w.MaxDepth {
-		w.MaxDepth = len(w.queue)
+	if d := w.Len(); d > w.MaxDepth {
+		w.MaxDepth = d
 	}
 	w.kick()
 	return true
@@ -165,7 +169,7 @@ func (w *Worker[T]) pollHandler() *workerPollH[T] {
 
 // kick schedules a poll round if one is not already pending.
 func (w *Worker[T]) kick() {
-	if w.scheduled || len(w.queue) == 0 {
+	if w.scheduled || w.Len() == 0 {
 		return
 	}
 	w.scheduled = true
@@ -183,7 +187,7 @@ func (w *Worker[T]) poll() {
 		return
 	}
 	w.scheduled = false
-	if len(w.queue) == 0 {
+	if w.Len() == 0 {
 		return
 	}
 	w.PollRounds++
@@ -191,19 +195,15 @@ func (w *Worker[T]) poll() {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	n := len(w.queue)
+	n := w.Len()
 	if n > budget {
 		n = budget
 	}
-	// Ping-pong the queue's backing buffers: the drained prefix becomes
-	// this round's batch, the remainder moves onto the spare buffer, and
-	// the batch's buffer is recycled as the next spare — no per-poll
-	// allocation once both buffers have grown. The batch slice is dead by
-	// the time its buffer is reused (batches never outlive their poll).
-	old := w.queue
-	batch := old[:n:n]
-	w.queue = append(w.spare[:0], old[n:]...)
-	w.spare = old[:0]
+	// The batch is the queue's head, taken in place: items enqueued while it
+	// is processed append past it, and its slots are reclaimed only by the
+	// compact that ends this round — batches never outlive their poll.
+	batch := w.queue[w.head : w.head+n : w.head+n]
+	w.head += n
 
 	if w.PollOverhead > 0 {
 		if w.pollTag == "" {
@@ -261,8 +261,9 @@ func (w *Worker[T]) poll() {
 			w.Sched.ScheduleRun(&w.thenH, head, headAt, runN)
 		}
 	}
+	w.compact()
 	switch {
-	case len(w.queue) > 0:
+	case w.Len() > 0:
 		// NAPI re-arm: keep polling once the work charged so far is
 		// done. The +1 yields to any sibling worker already waiting on
 		// this core at the exact free instant, giving the round-robin
@@ -275,5 +276,21 @@ func (w *Worker[T]) poll() {
 		// polled without a fresh wakeup (interrupt moderation).
 		w.scheduled = true
 		w.Sched.AtHandler(w.Core.FreeAt().Add(w.IdleGrace), w.pollHandler(), nil)
+	}
+}
+
+// compact reclaims the consumed prefix of the queue buffer: in full (no
+// copy) when the queue has drained, and by sliding the backlog down once
+// the head passes half the queue's length, so the copying costs at most one
+// move per consumed item. Called only at the end of a poll round, when no
+// batch is live.
+func (w *Worker[T]) compact() {
+	switch {
+	case w.head == 0:
+	case w.head == len(w.queue):
+		w.queue, w.head = w.queue[:0], 0
+	case w.head >= len(w.queue)/2:
+		w.queue = w.queue[:copy(w.queue, w.queue[w.head:])]
+		w.head = 0
 	}
 }

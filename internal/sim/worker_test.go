@@ -246,3 +246,68 @@ func TestWorkerDeliveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWorkerQueueCompactsInPlace drives a worker whose backlog never drains:
+// every round takes its batch in place while the batch itself enqueues as
+// many new items onto the same worker. Order must stay FIFO, no live batch
+// may be overwritten, and compaction must keep the buffer bounded by the
+// backlog rather than by the number of items ever queued.
+func TestWorkerQueueCompactsInPlace(t *testing.T) {
+	s := NewScheduler(1)
+	c := NewCore(1, s)
+	w := &Worker[int]{Name: "c", Core: c, Sched: s, Budget: 8}
+	const backlog, total = 100, 3000
+	next, want, maxCap := 0, 0, 0
+	w.ProcessBatch = func(batch []int) {
+		for range batch {
+			if next < total {
+				w.Enqueue(next)
+				next++
+			}
+		}
+		for _, v := range batch {
+			if v != want {
+				t.Fatalf("batch item %d, want %d (FIFO broken or live batch overwritten)", v, want)
+			}
+			want++
+		}
+		c.Exec(Duration(len(batch)), "c")
+		if n := cap(w.queue); n > maxCap {
+			maxCap = n
+		}
+	}
+	s.At(0, func() {
+		for ; next < backlog; next++ {
+			w.Enqueue(next)
+		}
+	})
+	s.Run()
+	if want != total {
+		t.Fatalf("processed %d items, want %d", want, total)
+	}
+	if maxCap > 4*backlog {
+		t.Fatalf("queue buffer grew to %d slots for a %d-item backlog", maxCap, backlog)
+	}
+}
+
+// TestWorkerStealAfterPartialPoll verifies StealQueue hands back exactly the
+// undrained remainder once poll rounds have advanced the queue head.
+func TestWorkerStealAfterPartialPoll(t *testing.T) {
+	s := NewScheduler(1)
+	c := NewCore(1, s)
+	var got, stolen []int
+	w := NewWorker("w", c, s, func(int) Duration { return 10 }, func(v int, _ Time) { got = append(got, v) })
+	w.Budget = 8
+	for i := 0; i < 20; i++ {
+		w.Enqueue(i)
+	}
+	s.RunUntil(0) // the first round takes items 0..7
+	stolen = append(stolen, w.StealQueue()...)
+	s.Run()
+	if len(got) != 8 || got[7] != 7 {
+		t.Fatalf("delivered %v, want 0..7", got)
+	}
+	if len(stolen) != 12 || stolen[0] != 8 || stolen[11] != 19 {
+		t.Fatalf("stole %v, want 8..19", stolen)
+	}
+}
