@@ -145,10 +145,10 @@ func runRecord(key string, res *overlay.Result) RunRecord {
 }
 
 // Artifact assembles the named figure's artifact from the Runner's warm
-// caches and the already-rendered tables. Runs appear in plan order (the
-// figure's deterministic enumeration), deduplicated by key — the same
-// order a serial build consumed them in, so the encoding is independent
-// of worker count.
+// caches and the already-rendered tables. Runs appear in the figure's
+// recorded order (record.go): first-request order, deduplicated by key —
+// the same order a serial build consumed them in, so the encoding is
+// independent of worker count.
 func (r *Runner) Artifact(fig string, tables []*Table) *Artifact {
 	a := &Artifact{
 		Schema:    ArtifactSchema,
@@ -162,25 +162,18 @@ func (r *Runner) Artifact(fig string, tables []*Table) *Artifact {
 			float64(r.Warmup)/float64(sim.Millisecond),
 			float64(r.Measure)/float64(sim.Millisecond)),
 	}
-	p := planFor(fig)
-	seen := map[string]bool{}
-	for _, pr := range p.runs {
-		key := r.normalize(pr.sc).Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		res, ok := r.cached(key)
+	rec := r.recordingFor(fig)
+	for _, run := range rec.runs {
+		res, ok := r.cached(run.key)
 		if !ok {
-			// The figure was built before Artifact was called, so a miss
-			// means the plan drifted from the figure; run it now rather
-			// than emit a hole (TestPlansCoverFigures catches the drift).
-			res = r.run(pr.sc)
+			// Not built on this Runner yet: run it now rather than emit
+			// a hole.
+			res = r.run(run.sc)
 		}
-		a.Runs = append(a.Runs, runRecord(key, res))
+		a.Runs = append(a.Runs, runRecord(run.key, res))
 	}
-	for _, sys := range p.web {
-		res := r.web(sys)
+	for _, cfg := range rec.web {
+		res := r.web(cfg.System)
 		a.Apps = append(a.Apps, AppRecord{
 			Key:    webKey(res.Config),
 			Kind:   "web",
@@ -188,8 +181,8 @@ func (r *Runner) Artifact(fig string, tables []*Table) *Artifact {
 			PerSec: res.TotalSuccessPerSec,
 		})
 	}
-	for _, cj := range p.caching {
-		res := r.caching(cj.sys, cj.clients)
+	for _, cfg := range rec.caching {
+		res := r.caching(cfg.System, cfg.Clients)
 		a.Apps = append(a.Apps, AppRecord{
 			Key:     cachingKey(res.Config),
 			Kind:    "caching",
@@ -210,7 +203,7 @@ func (r *Runner) Artifact(fig string, tables []*Table) *Artifact {
 
 // WriteJSON emits the artifact as indented JSON. The encoding is fully
 // deterministic: struct fields encode in declaration order and slices in
-// plan order.
+// recorded order.
 func (a *Artifact) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"mflow/internal/metrics"
+	"mflow/internal/overlay"
 	"mflow/internal/sim"
 )
 
@@ -41,9 +43,9 @@ func TestHelpers(t *testing.T) {
 	if sizeLabel(65536) != "64KB" || sizeLabel(16) != "16B" {
 		t.Error("size labels wrong")
 	}
-	lines := splitLines("a\nb\n")
-	if len(lines) != 2 || lines[1] != "b" {
-		t.Errorf("splitLines: %v", lines)
+	notes := cpuNotes("x", &overlay.Result{CPU: []metrics.CPUSample{{Core: 0, Total: 0.5}, {Core: 1, Total: 0.25}}})
+	if len(notes) != 3 || notes[0] != "x:" || notes[2] != "  core 1:  25.0%" {
+		t.Errorf("cpuNotes: %q", notes)
 	}
 }
 

@@ -24,20 +24,13 @@ const (
 // RTO expiries, reassembler hole releases, stale deliveries, pruned
 // out-of-order entries). A TCP cell also asserts the in-order delivery
 // contract: the ooo column must read 0.
-// chaosNames returns the chaos profile names in deterministic (sorted)
-// order — the iteration order of the matrix and of its prefetch plan.
-func chaosNames(profiles map[string]*fault.Plan) []string {
+func (r *Runner) Chaos() []*Table {
+	profiles := fault.ChaosProfiles()
 	names := make([]string, 0, len(profiles))
 	for name := range profiles {
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	return names
-}
-
-func (r *Runner) Chaos() []*Table {
-	profiles := fault.ChaosProfiles()
-	names := chaosNames(profiles)
+	sort.Strings(names) // deterministic matrix order
 
 	var tables []*Table
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
@@ -86,8 +79,7 @@ func (r *Runner) chaosRun(sys steering.System, proto skb.Proto, plan *fault.Plan
 	return r.run(chaosScenario(sys, proto, plan))
 }
 
-// chaosScenario is one cell of the fault-injection matrix, shared with
-// the prefetch plan.
+// chaosScenario is one cell of the fault-injection matrix.
 func chaosScenario(sys steering.System, proto skb.Proto, plan *fault.Plan) overlay.Scenario {
 	return overlay.Scenario{
 		System: sys, Proto: proto, MsgSize: 65536,

@@ -21,24 +21,6 @@ func (r *Runner) Extensions() []*Table {
 	}
 }
 
-// The extension matrices, shared with the prefetch plans (plan.go).
-var (
-	extSlimSystems   = []steering.System{steering.Native, steering.Slim, steering.Vanilla, steering.MFlow}
-	extCopyThreads   = []int{1, 2, 3}
-	extAutoScenarios = []overlay.Scenario{
-		{System: steering.MFlow, Proto: skb.UDP, MsgSize: 65536},
-		{System: steering.MFlow, Proto: skb.UDP, MsgSize: 65536,
-			MFlow: overlay.MFlowConfig{AutoDetect: true}},
-		{System: steering.MFlow, Proto: skb.UDP, MsgSize: 65536,
-			MFlow: overlay.MFlowConfig{AutoDetect: true, ElephantBps: 50e9}},
-	}
-	extTXScenarios = []overlay.Scenario{
-		{System: steering.MFlow, Proto: skb.TCP, MsgSize: 65536},
-		{System: steering.MFlow, Proto: skb.TCP, MsgSize: 16},
-		{System: steering.Vanilla, Proto: skb.UDP, MsgSize: 65536},
-	}
-)
-
 // copyThreadsScenario is the parallel delivery-copy extension cell.
 func copyThreadsScenario(n int) overlay.Scenario {
 	return overlay.Scenario{
@@ -56,9 +38,11 @@ func copyThreadsScenario(n int) overlay.Scenario {
 func (r *Runner) ExtensionAutoDetect() *Table {
 	t := &Table{ID: "ext-autodetect", Title: "Elephant detection: split everything vs split promoted flows only (UDP 64KB)"}
 	t.Columns = []string{"policy", "Gbps", "merge-point OOO", "delivered OOO"}
-	always := r.run(extAutoScenarios[0])
-	auto := r.run(extAutoScenarios[1])
-	mouse := r.run(extAutoScenarios[2])
+	always := r.run(overlay.Scenario{System: steering.MFlow, Proto: skb.UDP, MsgSize: 65536})
+	auto := r.run(overlay.Scenario{System: steering.MFlow, Proto: skb.UDP, MsgSize: 65536,
+		MFlow: overlay.MFlowConfig{AutoDetect: true}})
+	mouse := r.run(overlay.Scenario{System: steering.MFlow, Proto: skb.UDP, MsgSize: 65536,
+		MFlow: overlay.MFlowConfig{AutoDetect: true, ElephantBps: 50e9}})
 	row := func(name string, res *overlay.Result) []string {
 		return []string{name, gbps(res.Gbps), fmt.Sprintf("%d", res.OOOSKBs), fmt.Sprintf("%d", res.DeliveredOutOfOrder)}
 	}
@@ -79,22 +63,22 @@ func (r *Runner) ExtensionSenderSide() *Table {
 	t := &Table{ID: "ext-txpath", Title: "Explicit sender-side pipeline (ModelTX) vs aggregate client model"}
 	t.Columns = []string{"scenario", "aggregate model", "explicit TX pipeline"}
 	names := []string{"MFLOW TCP 64KB (Gbps)", "MFLOW TCP 16B (Kmsg/s)", "vanilla UDP 64KB (Gbps)"}
-	for i, sc := range extTXScenarios {
-		c := struct {
-			name string
-			sc   overlay.Scenario
-		}{names[i], sc}
-		agg := r.run(c.sc)
-		scTX := c.sc
+	for i, sc := range []overlay.Scenario{
+		{System: steering.MFlow, Proto: skb.TCP, MsgSize: 65536},
+		{System: steering.MFlow, Proto: skb.TCP, MsgSize: 16},
+		{System: steering.Vanilla, Proto: skb.UDP, MsgSize: 65536},
+	} {
+		agg := r.run(sc)
+		scTX := sc
 		scTX.ModelTX = true
 		tx := r.run(scTX)
 		fmtv := func(res *overlay.Result) string {
-			if c.sc.MsgSize == 16 {
+			if sc.MsgSize == 16 {
 				return fmt.Sprintf("%.0f", res.MsgPerSec/1000)
 			}
 			return gbps(res.Gbps)
 		}
-		t.Rows = append(t.Rows, []string{c.name, fmtv(agg), fmtv(tx)})
+		t.Rows = append(t.Rows, []string{names[i], fmtv(agg), fmtv(tx)})
 	}
 	t.Notes = append(t.Notes,
 		"With the explicit pipeline, small-message TCP is bottlenecked in the sender's socket",
@@ -107,7 +91,7 @@ func (r *Runner) ExtensionSenderSide() *Table {
 func (r *Runner) ExtensionSlim() *Table {
 	t := &Table{ID: "ext-slim", Title: "Slim (NSDI'19) overlay bypass vs MFLOW (64KB)"}
 	t.Columns = []string{"system", "TCP Gbps", "UDP Gbps", "notes"}
-	for _, sys := range extSlimSystems {
+	for _, sys := range []steering.System{steering.Native, steering.Slim, steering.Vanilla, steering.MFlow} {
 		tcp := r.single(sys, skb.TCP, 65536)
 		udp := r.single(sys, skb.UDP, 65536)
 		note := ""
@@ -131,7 +115,7 @@ func (r *Runner) ExtensionSlim() *Table {
 func (r *Runner) ExtensionCopyThreads() *Table {
 	t := &Table{ID: "ext-copythreads", Title: "Future work: parallel delivery-copy threads (MFLOW, TCP 64KB)"}
 	t.Columns = []string{"copy threads", "Gbps", "app-core bound?"}
-	for _, n := range extCopyThreads {
+	for _, n := range []int{1, 2, 3} {
 		res := r.run(copyThreadsScenario(n))
 		bound := "yes (single copy thread saturates core 0)"
 		if n > 1 {

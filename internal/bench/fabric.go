@@ -18,17 +18,6 @@ const (
 	fabricMeasure = 6 * sim.Millisecond
 )
 
-// fabricHosts is the scale-out sweep; 1 is the single-host (nil-Fabric)
-// baseline the multi-host points are read against.
-var fabricHosts = []int{1, 2, 3, 4}
-
-// fabricIncastHosts sweeps the N→1 incast regime.
-var fabricIncastHosts = []int{2, 3, 4}
-
-// fabricSystems compares the serialized baseline, classic RPS steering and
-// MFLOW's split path as the fabric scales out.
-var fabricSystems = []steering.System{steering.Vanilla, steering.RPS, steering.MFlow}
-
 // fabricScaleScenario is one point of the scale-out curve: hosts paired
 // ring-wise (every host sends one flow and receives one), one flow per
 // host so offered load grows with the fabric. hosts == 1 leaves Fabric nil
@@ -71,11 +60,13 @@ func (r *Runner) Fabric() []*Table {
 		Columns: []string{"hosts", "vanilla Gbps", "rps Gbps", "mflow Gbps",
 			"underlay frames", "fdb floods", "fdb learned"},
 	}
-	for _, n := range fabricHosts {
+	// Host-count sweep; 1 is the single-host (nil-Fabric) baseline the
+	// multi-host points are read against.
+	for _, n := range []int{1, 2, 3, 4} {
 		row := make([]string, 0, len(scale.Columns))
 		row = append(row, fmt.Sprintf("%d", n))
 		var last *overlay.Result
-		for _, sys := range fabricSystems {
+		for _, sys := range []steering.System{steering.Vanilla, steering.RPS, steering.MFlow} {
 			res := r.run(fabricScaleScenario(sys, n))
 			row = append(row, gbps(res.Gbps))
 			last = res
@@ -99,7 +90,7 @@ func (r *Runner) Fabric() []*Table {
 		Columns: []string{"hosts", "senders", "flows", "Gbps",
 			"underlay sent", "delivered", "drops", "in flight (end)"},
 	}
-	for _, n := range fabricIncastHosts {
+	for _, n := range []int{2, 3, 4} {
 		res := r.run(fabricIncastScenario(n))
 		incast.Rows = append(incast.Rows, []string{
 			fmt.Sprintf("%d", n),

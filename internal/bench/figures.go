@@ -14,24 +14,9 @@ import (
 // MsgSizes is the message-size sweep of the paper's Figs. 4, 8 and 9.
 var MsgSizes = []int{16, 1024, 4096, 65536}
 
-// The figure matrices below are shared between the figure builders and
-// the prefetch plans (plan.go); TestPlansCoverFigures keeps them honest.
-var (
-	// fig4Systems is the paper's state of the art — everything but MFLOW.
-	fig4Systems = []steering.System{steering.Native, steering.Vanilla, steering.RPS, steering.FalconDev, steering.FalconFunc}
-	// fig7Batches is Fig. 7's micro-flow batch-size sweep.
-	fig7Batches = []int{1, 4, 16, 64, 256, 1024, 4096}
-	// fig10Sizes / fig10Flows / fig10Systems span Fig. 10's multi-flow grid.
-	fig10Sizes   = []int{16, 4096, 65536}
-	fig10Flows   = []int{1, 5, 10, 15, 20}
-	fig10Systems = []steering.System{steering.Vanilla, steering.FalconDev, steering.MFlow}
-	// appSystems are the systems the application benchmarks compare.
-	appSystems = []steering.System{steering.Vanilla, steering.FalconDev, steering.MFlow}
-	// fig12Systems is the CPU-balance comparison pair.
-	fig12Systems = []steering.System{steering.FalconDev, steering.MFlow}
-	// fig13Clients is the data-caching client sweep.
-	fig13Clients = []int{1, 5, 10}
-)
+// appSystems are the systems the application benchmarks (Figs. 11, 13)
+// compare.
+var appSystems = []steering.System{steering.Vanilla, steering.FalconDev, steering.MFlow}
 
 // fig10Scenario is the shared multi-flow scenario shape of Figs. 10/12.
 func fig10Scenario(sys steering.System, size, flows int) overlay.Scenario {
@@ -67,36 +52,15 @@ func (r *Runner) throughputTable(id, title string, proto skb.Proto, systems []st
 
 // cpuNotes renders a per-core utilization breakdown for a scenario result.
 func cpuNotes(label string, res *overlay.Result) []string {
-	notes := []string{label + ":"}
-	for _, line := range splitLines(metrics.FormatCPU(res.CPU)) {
-		notes = append(notes, line)
-	}
-	return notes
-}
-
-func splitLines(s string) []string {
-	var out []string
-	cur := ""
-	for _, c := range s {
-		if c == '\n' {
-			if cur != "" {
-				out = append(out, cur)
-			}
-			cur = ""
-			continue
-		}
-		cur += string(c)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
+	lines := strings.FieldsFunc(metrics.FormatCPU(res.CPU), func(r rune) bool { return r == '\n' })
+	return append([]string{label + ":"}, lines...)
 }
 
 // Fig4 reproduces Fig. 4: single-flow throughput and CPU utilization of the
 // state-of-the-art systems (no MFLOW yet — that is Fig. 8).
 func (r *Runner) Fig4() []*Table {
-	systems := fig4Systems
+	// The paper's state of the art — everything but MFLOW.
+	systems := []steering.System{steering.Native, steering.Vanilla, steering.RPS, steering.FalconDev, steering.FalconFunc}
 	tcp := r.throughputTable("fig4a-tcp", "Single-flow TCP throughput, state of the art", skb.TCP, systems)
 	udp := r.throughputTable("fig4a-udp", "Single-flow UDP throughput, state of the art (3 clients)", skb.UDP, systems)
 
@@ -105,8 +69,10 @@ func (r *Runner) Fig4() []*Table {
 	for _, sys := range systems {
 		res := r.single(sys, skb.TCP, 65536)
 		hot := 0
-		for _, c := range res.CPU[1:] {
-			if c.Total > 0.10 {
+		// Core 0 is the app core. Skipping it by index keeps the recording
+		// pass's placeholder result (no CPU samples) safe.
+		for i, c := range res.CPU {
+			if i > 0 && c.Total > 0.10 {
 				hot++
 			}
 		}
@@ -121,7 +87,7 @@ func (r *Runner) Fig4() []*Table {
 func (r *Runner) Fig7() *Table {
 	t := &Table{ID: "fig7", Title: "Out-of-order delivery vs micro-flow batch size (TCP 64KB)"}
 	t.Columns = []string{"batch size", "OOO deliveries", "OOO segments", "reassembly switches", "throughput (Gbps)"}
-	for _, b := range fig7Batches {
+	for _, b := range []int{1, 4, 16, 64, 256, 1024, 4096} {
 		res := r.run(overlay.Scenario{
 			System: steering.MFlow, Proto: skb.TCP, MsgSize: 65536,
 			MFlow: overlay.MFlowConfig{BatchSize: b},
@@ -204,10 +170,10 @@ func (r *Runner) Fig9() []*Table {
 // Fig10 reproduces Fig. 10: multi-flow TCP throughput (5 app cores, 10
 // kernel cores) for 16B / 4KB / 64KB messages.
 func (r *Runner) Fig10() []*Table {
-	flowCounts := fig10Flows
-	systems := fig10Systems
+	flowCounts := []int{1, 5, 10, 15, 20}
+	systems := []steering.System{steering.Vanilla, steering.FalconDev, steering.MFlow}
 	var tables []*Table
-	for _, size := range fig10Sizes {
+	for _, size := range []int{16, 4096, 65536} {
 		t := &Table{
 			ID:    fmt.Sprintf("fig10-%s", sizeLabel(size)),
 			Title: fmt.Sprintf("Multi-flow TCP aggregate throughput, %s messages (Gbps)", sizeLabel(size)),
@@ -235,7 +201,7 @@ func (r *Runner) Fig10() []*Table {
 func (r *Runner) Fig12() *Table {
 	t := &Table{ID: "fig12", Title: "CPU load balance, 10 flows x 64KB TCP on 10 kernel cores"}
 	t.Columns = []string{"system", "kernel CPU total (%)", "stddev (pp)", "throughput (Gbps)"}
-	for _, s := range fig12Systems {
+	for _, s := range []steering.System{steering.FalconDev, steering.MFlow} {
 		res := r.run(fig10Scenario(s, 65536, 10))
 		t.Rows = append(t.Rows, []string{
 			s.String(),
@@ -301,7 +267,7 @@ func (r *Runner) Fig13() *Table {
 	for _, s := range systems {
 		t.Columns = append(t.Columns, s.String())
 	}
-	for _, n := range fig13Clients {
+	for _, n := range []int{1, 5, 10} {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, s := range systems {
 			res := r.caching(s, n)

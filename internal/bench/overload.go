@@ -18,13 +18,6 @@ const (
 	overloadMeasure = 6 * sim.Millisecond
 )
 
-// overloadClients is the offered-load sweep of the livelock curve.
-var overloadClients = []int{1, 2, 4, 6, 8}
-
-// overloadSystems are the systems the pressure table compares: the
-// serialized baseline, classic RPS steering, and MFLOW's split path.
-var overloadSystems = []steering.System{steering.Vanilla, steering.RPS, steering.MFlow}
-
 // livelockScenario is one point of the receive-livelock curve: vanilla UDP
 // under interrupt-per-frame delivery, with or without polling mitigation.
 // Single-frame messages (1500B) make goodput proportional to delivered
@@ -63,7 +56,7 @@ func (r *Runner) Overload() []*Table {
 		Columns: []string{"clients", "irq/frame Gbps", "polling Gbps",
 			"irq/frame IRQs", "polling IRQs", "polling ring drops"},
 	}
-	for _, n := range overloadClients {
+	for _, n := range []int{1, 2, 4, 6, 8} { // offered-load sweep
 		raw := r.runObserved(livelockScenario(n, false))
 		polled := r.runObserved(livelockScenario(n, true))
 		curve.Rows = append(curve.Rows, []string{
@@ -85,7 +78,8 @@ func (r *Runner) Overload() []*Table {
 			"gated", "sojourn p99 (us)", "collapses", "restores", "resteers", "mem peak (KB)"},
 	}
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
-		for _, sys := range overloadSystems {
+		// The serialized baseline, classic RPS steering, MFLOW's split path.
+		for _, sys := range []steering.System{steering.Vanilla, steering.RPS, steering.MFlow} {
 			res := r.run(pressureScenario(sys, proto))
 			press.Rows = append(press.Rows, []string{
 				sys.String(), proto.String(), gbps(res.Gbps),

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,45 +21,13 @@ func fastRunner() *Runner {
 	return &Runner{Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond, Seed: 42}
 }
 
-// cacheKeys returns every overlay-scenario key the Runner has executed,
-// plus app-benchmark keys.
-func cacheKeys(r *Runner) map[string]bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	keys := make(map[string]bool, len(r.cache)+len(r.webs)+len(r.cachegs))
-	for k := range r.cache {
-		keys[k] = true
-	}
-	for k := range r.webs {
-		keys[k] = true
-	}
-	for k := range r.cachegs {
-		keys[k] = true
-	}
-	return keys
-}
-
-// planKeys returns the key set planFor(fig) enumerates under r's defaults.
-func planKeys(r *Runner, fig string) map[string]bool {
-	p := planFor(fig)
-	keys := map[string]bool{}
-	for _, pr := range p.runs {
-		keys[r.normalize(pr.sc).Key()] = true
-	}
-	for _, sys := range p.web {
-		keys[webKey(r.webConfig(sys))] = true
-	}
-	for _, cj := range p.caching {
-		keys[cachingKey(r.cachingConfig(cj.sys, cj.clients))] = true
-	}
-	return keys
-}
-
-// TestPlansCoverFigures pins each figure's prefetch plan to the runs the
-// figure actually consumes: building the figure serially on a fresh Runner
-// must populate exactly the plan's key set. A scenario added to a figure
-// without its plan (or vice versa) fails here instead of silently running
-// serially (or prefetching dead work).
+// TestPlansCoverFigures pins each figure's recorded plan (record.go) to
+// the runs the figure actually consumes: building the figure serially on a
+// fresh Runner must store exactly the recorded keys, in recorded order,
+// with the recorded runs observed. It is the guard for the invariant the
+// recording relies on — no builder's key set may depend on a result — so
+// a builder that branched on one fails here instead of silently
+// prefetching the wrong matrix or reordering the artifact.
 func TestPlansCoverFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every figure")
@@ -74,15 +43,46 @@ func TestPlansCoverFigures(t *testing.T) {
 			if _, err := r.Tables(fig); err != nil {
 				t.Fatal(err)
 			}
-			got, want := cacheKeys(r), planKeys(r, fig)
-			for k := range want {
-				if !got[k] {
-					t.Errorf("plan enumerates a run the figure never executes:\n  %s", k)
+			var runs, observed, web, caching []string
+			for _, k := range r.stored {
+				switch res, ok := r.cache[k]; {
+				case ok:
+					runs = append(runs, k)
+					if res.Obs != nil {
+						observed = append(observed, k)
+					}
+				case r.webs[k] != nil:
+					web = append(web, k)
+				default:
+					caching = append(caching, k)
 				}
 			}
-			for k := range got {
-				if !want[k] {
-					t.Errorf("figure executed a run missing from its plan:\n  %s", k)
+			rec := fastRunner().recordingFor(fig)
+			var recRuns, recObserved, recWeb, recCaching []string
+			for _, run := range rec.runs {
+				recRuns = append(recRuns, run.key)
+				if run.observed {
+					recObserved = append(recObserved, run.key)
+				}
+			}
+			for _, cfg := range rec.web {
+				recWeb = append(recWeb, webKey(cfg))
+			}
+			for _, cfg := range rec.caching {
+				recCaching = append(recCaching, cachingKey(cfg))
+			}
+			for _, c := range []struct {
+				what      string
+				built, rc []string
+			}{
+				{"overlay runs", runs, recRuns},
+				{"observed runs", observed, recObserved},
+				{"web runs", web, recWeb},
+				{"caching runs", caching, recCaching},
+			} {
+				if !reflect.DeepEqual(c.built, c.rc) {
+					t.Errorf("%s: recording diverged from the serial build\n--- built ---\n%s\n--- recorded ---\n%s",
+						c.what, strings.Join(c.built, "\n"), strings.Join(c.rc, "\n"))
 				}
 			}
 		})
@@ -122,12 +122,13 @@ func render(t *testing.T, r *Runner, fig string) (string, *Artifact) {
 // for the same seed and windows, an 8-worker run renders byte-identical
 // tables and artifact JSON to a serial run. The figures chosen cover the
 // sweep cache (4), a single-table matrix (7), observed runs (queues), the
-// app benchmarks (13) and shared-scenario dedup across builders (12).
+// app benchmarks (13), shared-scenario dedup across builders (12) and a
+// request order that differs from table order (ablations).
 func TestParallelMatchesSerialGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several figures twice")
 	}
-	for _, fig := range []string{"4", "7", "12", "13", "queues"} {
+	for _, fig := range []string{"4", "7", "12", "13", "queues", "ablations"} {
 		fig := fig
 		t.Run(fig, func(t *testing.T) {
 			t.Parallel()

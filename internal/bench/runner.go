@@ -45,6 +45,13 @@ type Runner struct {
 	cache   map[string]*overlay.Result
 	webs    map[string]*apps.WebResult
 	cachegs map[string]*apps.CachingResult
+	// stored lists every cache key in first-store order.
+	stored []string
+	// recordings holds each figure's job list, recorded once (record.go).
+	recordings map[string]*recording
+	// rec makes this Runner a recording copy: runs log into it and
+	// return zero placeholders instead of simulating.
+	rec *recording
 }
 
 // NewRunner returns a Runner with default windows and observability on.
@@ -88,8 +95,12 @@ func (r *Runner) store(key string, res *overlay.Result, overwrite bool) *overlay
 	if r.cache == nil {
 		r.cache = make(map[string]*overlay.Result)
 	}
-	if prev, ok := r.cache[key]; ok && !overwrite {
+	prev, ok := r.cache[key]
+	if ok && !overwrite {
 		return prev
+	}
+	if !ok {
+		r.stored = append(r.stored, key)
 	}
 	r.cache[key] = res
 	return res
@@ -100,6 +111,10 @@ func (r *Runner) run(sc overlay.Scenario) *overlay.Result {
 	// The key is computed before a registry is attached: a fresh registry
 	// pointer per run must not defeat caching.
 	key := sc.Key()
+	if r.rec != nil {
+		r.rec.addRun(key, sc, false)
+		return placeholder(sc)
+	}
 	if res, ok := r.cached(key); ok {
 		return res
 	}
@@ -141,6 +156,10 @@ func (r *Runner) probes() overlay.Probes {
 func (r *Runner) runObserved(sc overlay.Scenario) *overlay.Result {
 	sc = r.normalize(sc)
 	key := sc.Key()
+	if r.rec != nil {
+		r.rec.addRun(key, sc, true)
+		return placeholder(sc)
+	}
 	if res, ok := r.cached(key); ok && res.Obs != nil {
 		return res
 	}
@@ -171,6 +190,10 @@ func webKey(cfg apps.WebConfig) string {
 func (r *Runner) web(sys steering.System) *apps.WebResult {
 	cfg := r.webConfig(sys)
 	key := webKey(cfg)
+	if r.rec != nil {
+		r.rec.addWeb(cfg)
+		return &apps.WebResult{Config: cfg}
+	}
 	r.mu.Lock()
 	res, ok := r.webs[key]
 	r.mu.Unlock()
@@ -189,6 +212,7 @@ func (r *Runner) storeWeb(key string, res *apps.WebResult) *apps.WebResult {
 	if prev, ok := r.webs[key]; ok {
 		return prev
 	}
+	r.stored = append(r.stored, key)
 	r.webs[key] = res
 	return res
 }
@@ -211,6 +235,10 @@ func cachingKey(cfg apps.CachingConfig) string {
 func (r *Runner) caching(sys steering.System, clients int) *apps.CachingResult {
 	cfg := r.cachingConfig(sys, clients)
 	key := cachingKey(cfg)
+	if r.rec != nil {
+		r.rec.addCaching(cfg)
+		return &apps.CachingResult{Config: cfg}
+	}
 	r.mu.Lock()
 	res, ok := r.cachegs[key]
 	r.mu.Unlock()
@@ -229,6 +257,7 @@ func (r *Runner) storeCaching(key string, res *apps.CachingResult) *apps.Caching
 	if prev, ok := r.cachegs[key]; ok {
 		return prev
 	}
+	r.stored = append(r.stored, key)
 	r.cachegs[key] = res
 	return res
 }
@@ -237,13 +266,18 @@ func (r *Runner) storeCaching(key string, res *apps.CachingResult) *apps.Caching
 var Figures = []string{"4", "7", "8", "9", "10", "11", "12", "13", "queues", "ablations", "extensions", "chaos", "overload", "fabric", "wire", "all"}
 
 // Tables builds the named figure's tables. When r.Parallel > 1, the
-// figure's scenario matrix (see plan.go) is first executed on the harness
-// worker pool; formatting then reads the warm cache serially, keeping the
-// output byte-identical to a fully serial run.
+// figure's recorded job list (see record.go) is first executed on the
+// harness worker pool; formatting then reads the warm cache serially,
+// keeping the output byte-identical to a fully serial run.
 func (r *Runner) Tables(fig string) ([]*Table, error) {
 	if r.Parallel > 1 {
 		r.Prefetch(fig)
 	}
+	return r.build(fig)
+}
+
+// build runs the named figure's builder.
+func (r *Runner) build(fig string) ([]*Table, error) {
 	switch fig {
 	case "4":
 		return r.Fig4(), nil

@@ -17,11 +17,6 @@ const (
 	wireMeasure = 6 * sim.Millisecond
 )
 
-// wireSystems spans the steering spectrum the byte path must survive:
-// host networking (no encap), the serialized overlay baseline, classic
-// RPS and MFLOW's split path.
-var wireSystems = []steering.System{steering.Native, steering.Vanilla, steering.RPS, steering.MFlow}
-
 // wireScenario is one cell of the wire matrix: the standard 64KB message
 // workload with real bytes attached when wire is true.
 func wireScenario(sys steering.System, proto skb.Proto, wire bool) overlay.Scenario {
@@ -59,7 +54,10 @@ func (r *Runner) Wire() []*Table {
 			"wire/synthetic", "wire errors", "GRO factor"},
 	}
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
-		for _, sys := range wireSystems {
+		// The steering spectrum the byte path must survive: host networking
+		// (no encap), the serialized overlay baseline, classic RPS and
+		// MFLOW's split path.
+		for _, sys := range []steering.System{steering.Native, steering.Vanilla, steering.RPS, steering.MFlow} {
 			syn := r.run(wireScenario(sys, proto, false))
 			wire := r.run(wireScenario(sys, proto, true))
 			single.Rows = append(single.Rows, []string{

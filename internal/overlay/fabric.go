@@ -150,10 +150,7 @@ func (fs *fabState) syncObs(sc Scenario) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("underlay_sent").Set(fs.un.Sent)
-	reg.Counter("underlay_delivered").Set(fs.un.Delivered)
-	reg.Counter("underlay_dropped").Set(fs.un.Drops)
-	reg.Counter("underlay_flood_copies").Set(fs.un.FloodCopies)
+	countersAll(nil, fs).publish(reg, "", func(group string) bool { return group == "underlay" })
 	floods, learned, aged := fs.fdbTotals()
 	reg.Counter("fdb_floods").Set(floods)
 	reg.Counter("fdb_learned").Set(learned)

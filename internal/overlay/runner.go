@@ -2,9 +2,12 @@ package overlay
 
 import (
 	"math"
+	"reflect"
+	"strings"
 
 	"mflow/internal/metrics"
 	"mflow/internal/netdev"
+	"mflow/internal/obs"
 	"mflow/internal/sim"
 )
 
@@ -27,147 +30,114 @@ func RunProbed(sc Scenario, pr Probes) *Result {
 	return runHosts(sc, h.sched, []*host{h}, nil)
 }
 
-// snapshot captures the counters that measurement windows are diffed over.
-type snapshot struct {
-	bytes, msgs, packets uint64
-	ring, sock, backlog  uint64
-	ooo, oooSKB          uint64
-	tcpOFO, switches     uint64
-	deliveredOOO         uint64
-
-	// Fault-injection and degradation counters.
-	faults, faultDrops      uint64
-	retx, rtoTO, fastRetx   uint64
-	dupSegs, ofoPruned      uint64
-	stale, holes, reasmErrs uint64
-
-	// NIC admission accounting (always measured) and overload-control
-	// counters (zero unless the scenario enables overload control).
-	offered, accepted, admission uint64
-	aqmDrops, ovGated            uint64
-	pollEntered, pollExited      uint64
-	resteers, resteeredSKBs      uint64
-	collapses, restores          uint64
-	budgetReleased               uint64
-
-	// Fabric underlay counters (zero on single-host runs).
-	uSent, uDelivered, uDrops, uCopies uint64
+// combine sets every field of c to op(c's, o's): the field-wise add and
+// sub the window accounting needs. Reflection is fine here — it runs
+// only at window boundaries.
+func (c *Counters) combine(o *Counters, op func(a, b uint64) uint64) {
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		if f := cv.Field(i); f.CanSet() {
+			f.SetUint(op(f.Uint(), ov.Field(i).Uint()))
+		}
+	}
+	c.msgs = op(c.msgs, o.msgs)
 }
 
-// add accumulates another host's counters into s (fabric runs sum their
-// per-host snapshots before diffing windows).
-func (s *snapshot) add(o snapshot) {
-	s.bytes += o.bytes
-	s.msgs += o.msgs
-	s.packets += o.packets
-	s.ring += o.ring
-	s.sock += o.sock
-	s.backlog += o.backlog
-	s.ooo += o.ooo
-	s.oooSKB += o.oooSKB
-	s.tcpOFO += o.tcpOFO
-	s.switches += o.switches
-	s.deliveredOOO += o.deliveredOOO
-	s.faults += o.faults
-	s.faultDrops += o.faultDrops
-	s.retx += o.retx
-	s.rtoTO += o.rtoTO
-	s.fastRetx += o.fastRetx
-	s.dupSegs += o.dupSegs
-	s.ofoPruned += o.ofoPruned
-	s.stale += o.stale
-	s.holes += o.holes
-	s.reasmErrs += o.reasmErrs
-	s.offered += o.offered
-	s.accepted += o.accepted
-	s.admission += o.admission
-	s.aqmDrops += o.aqmDrops
-	s.ovGated += o.ovGated
-	s.pollEntered += o.pollEntered
-	s.pollExited += o.pollExited
-	s.resteers += o.resteers
-	s.resteeredSKBs += o.resteeredSKBs
-	s.collapses += o.collapses
-	s.restores += o.restores
-	s.budgetReleased += o.budgetReleased
+// publish sets reg's pfx+name counter for every obs-tagged field whose
+// group keep accepts.
+func (c Counters) publish(reg *obs.Registry, pfx string, keep func(group string) bool) {
+	cv, ct := reflect.ValueOf(c), reflect.TypeOf(c)
+	for i := 0; i < ct.NumField(); i++ {
+		tag, ok := ct.Field(i).Tag.Lookup("obs")
+		if !ok {
+			continue
+		}
+		if name, group, _ := strings.Cut(tag, ","); keep(group) {
+			reg.Counter(pfx + name).Set(cv.Field(i).Uint())
+		}
+	}
 }
 
 // countersAll sums every host's counters, folding in the underlay's when a
 // fabric is present.
-func countersAll(hosts []*host, fs *fabState) snapshot {
-	var s snapshot
+func countersAll(hosts []*host, fs *fabState) Counters {
+	var c Counters
+	add := func(a, b uint64) uint64 { return a + b }
 	for _, h := range hosts {
-		s.add(h.counters())
+		hc := h.counters()
+		c.combine(&hc, add)
 	}
 	if fs != nil {
-		s.uSent = fs.un.Sent
-		s.uDelivered = fs.un.Delivered
-		s.uDrops = fs.un.Drops
-		s.uCopies = fs.un.FloodCopies
+		c.UnderlaySent = fs.un.Sent
+		c.UnderlayDelivered = fs.un.Delivered
+		c.UnderlayDrops = fs.un.Drops
+		c.UnderlayFloodCopies = fs.un.FloodCopies
 	}
-	return s
+	return c
 }
 
-func (h *host) counters() snapshot {
-	var s snapshot
+// counters reads the host's running totals: the single reader behind both
+// the window deltas and the obs registry (syncObs).
+func (h *host) counters() Counters {
+	var c Counters
 	for _, fp := range h.flows {
-		s.bytes += fp.sock.Bytes
-		s.msgs += fp.sock.Msgs
-		s.packets += fp.sock.Packets
-		s.sock += fp.sock.Dropped()
+		c.DeliveredBytes += fp.sock.Bytes
+		c.msgs += fp.sock.Msgs
+		c.DeliveredSegments += fp.sock.Packets
+		c.DropsSock += fp.sock.Dropped()
 		if fp.tcpRx != nil {
-			s.tcpOFO += fp.tcpRx.OOOArrivals
-			s.dupSegs += fp.tcpRx.DupSegments
-			s.ofoPruned += fp.tcpRx.OFOPruned
+			c.TCPOFOSegments += fp.tcpRx.OOOArrivals
+			c.TCPDupSegments += fp.tcpRx.DupSegments
+			c.OFOPruned += fp.tcpRx.OFOPruned
 			// TCP's in-order contract is measured at the socket: this
 			// must stay zero even under fault injection.
-			s.deliveredOOO += fp.sock.OOODelivered
+			c.DeliveredOutOfOrder += fp.sock.OOODelivered
 		}
 		if fp.tcpTx != nil {
-			s.retx += fp.tcpTx.Retransmits
-			s.rtoTO += fp.tcpTx.RTOTimeouts
-			s.fastRetx += fp.tcpTx.FastRetransmits
+			c.Retransmits += fp.tcpTx.Retransmits
+			c.RTOTimeouts += fp.tcpTx.RTOTimeouts
+			c.FastRetransmits += fp.tcpTx.FastRetransmits
 		}
 		if fp.reasm != nil {
-			s.ooo += fp.reasm.OOOSegments
-			s.oooSKB += fp.reasm.OOOSKBs
-			s.switches += fp.reasm.Switches
-			s.stale += fp.reasm.StaleSKBs
-			s.holes += fp.reasm.HolesReleased
-			s.budgetReleased += fp.reasm.BudgetReleased
-			s.reasmErrs += fp.reasm.Errors
+			c.OOOSegments += fp.reasm.OOOSegments
+			c.OOOSKBs += fp.reasm.OOOSKBs
+			c.ReassemblySwitches += fp.reasm.Switches
+			c.StaleReleased += fp.reasm.StaleSKBs
+			c.HolesReleased += fp.reasm.HolesReleased
+			c.ReasmBudgetReleased += fp.reasm.BudgetReleased
+			c.ReassemblyErrors += fp.reasm.Errors
 			if fp.udpRx != nil {
-				s.deliveredOOO += fp.udpRx.OOOArrivals
+				c.DeliveredOutOfOrder += fp.udpRx.OOOArrivals
 			}
 		} else if fp.udpRx != nil {
-			s.ooo += fp.udpRx.OOOArrivals
-			s.oooSKB += fp.udpRx.OOOArrivals
-			s.deliveredOOO += fp.udpRx.OOOArrivals
+			c.OOOSegments += fp.udpRx.OOOArrivals
+			c.OOOSKBs += fp.udpRx.OOOArrivals
+			c.DeliveredOutOfOrder += fp.udpRx.OOOArrivals
 		}
-		s.reasmErrs += fp.arriveErrs
+		c.ReassemblyErrors += fp.arriveErrs
 	}
-	s.ring = h.nic.Dropped
-	s.offered = h.nic.Offered
-	s.accepted = h.nic.Received
-	s.admission = h.nic.AdmissionDropped
+	c.DropsRing = h.nic.Dropped
+	c.OfferedFrames = h.nic.Offered
+	c.AcceptedFrames = h.nic.Received
+	c.DropsAdmission = h.nic.AdmissionDropped
 	for _, st := range h.stages {
-		s.backlog += st.worker.Dropped
+		c.DropsBacklog += st.worker.Dropped
 	}
 	if h.inj != nil {
-		s.faults = h.inj.Total()
-		s.faultDrops = h.inj.Drops()
+		c.FaultsInjected = h.inj.Total()
+		c.FaultDrops = h.inj.Drops()
 	}
-	if h.ov != nil {
-		s.aqmDrops = h.ov.aqmDrops()
-		s.ovGated = h.ov.gated
-		s.pollEntered = h.ov.pollEntered
-		s.pollExited = h.ov.pollExited
-		s.resteers = h.ov.resteers
-		s.resteeredSKBs = h.ov.resteeredSKBs
-		s.collapses = h.ov.collapses
-		s.restores = h.ov.restores
+	if ov := h.ov; ov != nil {
+		c.DropsAQM = ov.aqmDrops()
+		c.OverloadGated = ov.gated
+		c.PollModeEntered = ov.pollEntered
+		c.PollModeExited = ov.pollExited
+		c.WatchdogResteers = ov.resteers
+		c.WatchdogResteeredSKBs = ov.resteeredSKBs
+		c.DegradeCollapses = ov.collapses
+		c.DegradeRestores = ov.restores
 	}
-	return s
+	return c
 }
 
 // run measures a single prebuilt host (tests drive this directly after
@@ -245,55 +215,27 @@ func runHosts(sc Scenario, sched *sim.Scheduler, hosts []*host, fs *fabState) *R
 		Latency:  metrics.NewHistogram(),
 		CPU:      cpu,
 		Sched:    sched.Stats(),
+		Counters: snap1,
 	}
+	res.combine(&snap0, func(a, b uint64) uint64 { return a - b }) // window deltas
 	window := end.Sub(start).Seconds()
-	res.DeliveredBytes = snap1.bytes - snap0.bytes
-	res.DeliveredSegments = snap1.packets - snap0.packets
 	res.Gbps = float64(res.DeliveredBytes) * 8 / window / 1e9
-	res.MsgPerSec = float64(snap1.msgs-snap0.msgs) / window
+	res.MsgPerSec = float64(res.msgs) / window
 	for _, h := range hosts {
 		for _, fp := range h.flows {
 			res.Latency.Merge(fp.sock.Latency)
-		}
-	}
-	res.OOOSegments = snap1.ooo - snap0.ooo
-	res.OOOSKBs = snap1.oooSKB - snap0.oooSKB
-	res.TCPOFOSegments = snap1.tcpOFO - snap0.tcpOFO
-	res.ReassemblySwitches = snap1.switches - snap0.switches
-	res.DeliveredOutOfOrder = snap1.deliveredOOO - snap0.deliveredOOO
-	for _, h := range hosts {
-		for _, fp := range h.flows {
 			res.WireErrors += fp.sock.VerifyErrors
 			if fp.vx != nil {
 				res.WireErrors += fp.vx.Errors
 			}
+			if res.ReassemblyErr == nil && fp.reasm != nil {
+				res.ReassemblyErr = fp.reasm.FirstErr
+			}
+			if res.ReassemblyErr == nil {
+				res.ReassemblyErr = fp.arriveErr
+			}
 		}
 	}
-	res.DropsRing = snap1.ring - snap0.ring
-	res.DropsSock = snap1.sock - snap0.sock
-	res.DropsBacklog = snap1.backlog - snap0.backlog
-	res.FaultsInjected = snap1.faults - snap0.faults
-	res.FaultDrops = snap1.faultDrops - snap0.faultDrops
-	res.Retransmits = snap1.retx - snap0.retx
-	res.RTOTimeouts = snap1.rtoTO - snap0.rtoTO
-	res.FastRetransmits = snap1.fastRetx - snap0.fastRetx
-	res.StaleReleased = snap1.stale - snap0.stale
-	res.HolesReleased = snap1.holes - snap0.holes
-	res.OFOPruned = snap1.ofoPruned - snap0.ofoPruned
-	res.TCPDupSegments = snap1.dupSegs - snap0.dupSegs
-	res.ReassemblyErrors = snap1.reasmErrs - snap0.reasmErrs
-	res.OfferedFrames = snap1.offered - snap0.offered
-	res.AcceptedFrames = snap1.accepted - snap0.accepted
-	res.DropsAdmission = snap1.admission - snap0.admission
-	res.DropsAQM = snap1.aqmDrops - snap0.aqmDrops
-	res.OverloadGated = snap1.ovGated - snap0.ovGated
-	res.PollModeEntered = snap1.pollEntered - snap0.pollEntered
-	res.PollModeExited = snap1.pollExited - snap0.pollExited
-	res.WatchdogResteers = snap1.resteers - snap0.resteers
-	res.WatchdogResteeredSKBs = snap1.resteeredSKBs - snap0.resteeredSKBs
-	res.DegradeCollapses = snap1.collapses - snap0.collapses
-	res.DegradeRestores = snap1.restores - snap0.restores
-	res.ReasmBudgetReleased = snap1.budgetReleased - snap0.budgetReleased
 	for _, h := range hosts {
 		if h.ov == nil {
 			continue
@@ -306,21 +248,7 @@ func runHosts(sc Scenario, sched *sim.Scheduler, hosts []*host, fs *fabState) *R
 			res.AQMSojournP99 = p
 		}
 	}
-	for _, h := range hosts {
-		for _, fp := range h.flows {
-			if res.ReassemblyErr == nil && fp.reasm != nil {
-				res.ReassemblyErr = fp.reasm.FirstErr
-			}
-			if res.ReassemblyErr == nil {
-				res.ReassemblyErr = fp.arriveErr
-			}
-		}
-	}
 	if fs != nil {
-		res.UnderlaySent = snap1.uSent - snap0.uSent
-		res.UnderlayDelivered = snap1.uDelivered - snap0.uDelivered
-		res.UnderlayDrops = snap1.uDrops - snap0.uDrops
-		res.UnderlayFloodCopies = snap1.uCopies - snap0.uCopies
 		res.UnderlayInFlightStart = inFlight0
 		res.UnderlayInFlightEnd = inFlight1
 		// FDB counters are run totals, not window deltas: flood-then-learn
@@ -373,9 +301,10 @@ func runHosts(sc Scenario, sched *sim.Scheduler, hosts []*host, fs *fabState) *R
 	return res
 }
 
-// syncObs mirrors the externally accumulated monotonic stats — NIC, queue
-// drops, per-device traffic — into the scenario's registry. It runs at both
-// window boundaries so Snapshot.Diff yields correct per-window deltas.
+// syncObs mirrors the externally accumulated monotonic stats — every
+// obs-tagged Counters field, plus the registry-only NIC IRQ, memory-account,
+// per-stage and per-device totals — into the scenario's registry. It runs at
+// both window boundaries so Snapshot.Diff yields correct per-window deltas.
 func (h *host) syncObs() {
 	reg := h.sc.Obs
 	if reg == nil {
@@ -386,16 +315,25 @@ func (h *host) syncObs() {
 	// overwrite each other. Record-based histograms aggregate safely and
 	// stay unprefixed.
 	pfx := h.obsPfx
-	reg.Counter(pfx + "nic_received").Set(h.nic.Received)
-	reg.Counter(pfx + "nic_dropped").Set(h.nic.Dropped)
-	reg.Counter(pfx + "nic_irqs").Set(h.nic.IRQs)
 	// The three NIC drop paths stay distinct: nic_dropped is descriptor-ring
 	// overrun, nic_admission_dropped the overload memory budget's rejections
-	// (before the ring), and aqm_dropped below the CoDel discards at backlog
-	// and splitting queues. nic_offered counts every frame presented, so
+	// (before the ring), and aqm_dropped the CoDel discards at backlog and
+	// splitting queues. nic_offered counts every frame presented, so
 	// offered == received + dropped + admission_dropped always holds.
-	reg.Counter(pfx + "nic_offered").Set(h.nic.Offered)
-	reg.Counter(pfx + "nic_admission_dropped").Set(h.nic.AdmissionDropped)
+	h.counters().publish(reg, pfx, func(group string) bool {
+		switch group {
+		case "fault":
+			return h.inj != nil
+		case "overload":
+			return h.ov != nil
+		}
+		return group == ""
+	})
+	reg.Counter(pfx + "nic_irqs").Set(h.nic.IRQs)
+	if ov := h.ov; ov != nil {
+		reg.Counter(pfx + "mem_charged").Set(ov.acct.Charged)
+		reg.Counter(pfx + "mem_released").Set(ov.acct.Released)
+	}
 
 	// Per-stage backlog totals, aggregated across same-named stages
 	// (parallel branches, multiple flows).
@@ -437,46 +375,5 @@ func (h *host) syncObs() {
 	}
 	for name, v := range devBytes {
 		reg.Counter(pfx+"device_bytes", "device", name).Set(v)
-	}
-
-	var sockDrop, sockSegs uint64
-	for _, fp := range h.flows {
-		sockDrop += fp.sock.Dropped()
-		sockSegs += fp.sock.Packets
-	}
-	reg.Counter(pfx + "socket_dropped").Set(sockDrop)
-	reg.Counter(pfx + "socket_delivered_segs").Set(sockSegs)
-
-	// Fault-injection and degradation counters (all zero without a fault
-	// plan, so fault-free registries are unchanged in shape only when the
-	// scenario never carried a plan — values stay zero either way).
-	if h.inj != nil {
-		s := h.counters()
-		reg.Counter(pfx + "faults_injected").Set(s.faults)
-		reg.Counter(pfx + "fault_drops").Set(s.faultDrops)
-		reg.Counter(pfx + "retransmits").Set(s.retx)
-		reg.Counter(pfx + "rto_timeouts").Set(s.rtoTO)
-		reg.Counter(pfx + "fast_retransmits").Set(s.fastRetx)
-		reg.Counter(pfx + "stale_released").Set(s.stale)
-		reg.Counter(pfx + "holes_released").Set(s.holes)
-		reg.Counter(pfx + "ofo_pruned").Set(s.ofoPruned)
-		reg.Counter(pfx + "tcp_dup_segments").Set(s.dupSegs)
-		reg.Counter(pfx + "reassembly_errors").Set(s.reasmErrs)
-	}
-
-	// Overload-control counters (see Result's field docs for semantics).
-	if ov := h.ov; ov != nil {
-		s := h.counters()
-		reg.Counter(pfx + "aqm_dropped").Set(s.aqmDrops)
-		reg.Counter(pfx + "overload_gated").Set(s.ovGated)
-		reg.Counter(pfx + "poll_mode_entered").Set(s.pollEntered)
-		reg.Counter(pfx + "poll_mode_exited").Set(s.pollExited)
-		reg.Counter(pfx + "watchdog_resteers").Set(s.resteers)
-		reg.Counter(pfx + "watchdog_resteered_skbs").Set(s.resteeredSKBs)
-		reg.Counter(pfx + "degrade_collapses").Set(s.collapses)
-		reg.Counter(pfx + "degrade_restores").Set(s.restores)
-		reg.Counter(pfx + "reasm_budget_released").Set(s.budgetReleased)
-		reg.Counter(pfx + "mem_charged").Set(ov.acct.Charged)
-		reg.Counter(pfx + "mem_released").Set(ov.acct.Released)
 	}
 }

@@ -333,6 +333,72 @@ type Result struct {
 	KernelCPUStddev float64
 	KernelCPUTotal  float64
 
+	// Counters are the measured-window deltas of every monotonic counter.
+	Counters
+
+	// WireErrors counts wire-mode integrity failures (decap errors plus
+	// socket payload-verification failures) over the whole run, warmup
+	// included; zero in a correct run without fault injection (corruption
+	// faults surface here).
+	WireErrors uint64
+	// ReassemblyErr keeps the first contiguity violation the reassembler
+	// recorded (see Counters.ReassemblyErrors).
+	ReassemblyErr error
+
+	// Sched is the run's scheduler self-accounting (whole run, warmup
+	// included): how much heap traffic run coalescing and the inline slot
+	// saved. Telemetry only — never fingerprinted or serialized into
+	// benchmark artifacts.
+	Sched sim.SchedStats
+	// GROFactor is the achieved merge factor.
+	GROFactor float64
+
+	// WatchdogRecoveryMaxNs is the longest observed stall
+	// detection→recovery interval in sim-ns; MemPeakBytes the skb memory
+	// account's high-water mark; AQMSojournP99 the p99 queue sojourn (ns)
+	// the AQM observed over the measured window. All zero unless
+	// Scenario.Overload is enabled.
+	WatchdogRecoveryMaxNs int64
+	MemPeakBytes          int
+	AQMSojournP99         int64
+
+	// UnderlayInFlightStart/End are the frames inside the underlay at the
+	// measurement window's boundaries (absolute gauges, not diffs).
+	UnderlayInFlightStart int
+	UnderlayInFlightEnd   int
+	// FDBFloods / FDBLearned / FDBAged count cross-host bridge FDB
+	// activity over the whole run (totals, not window deltas — the
+	// flood-then-learn transient plays out during warmup): frames flooded
+	// for an unknown (or aged) destination, new entries learned, entries
+	// expired by FDBMaxAge. All zero unless Scenario.Fabric is enabled.
+	FDBFloods  uint64
+	FDBLearned uint64
+	FDBAged    uint64
+
+	// Breakdown is the measured-window causal latency decomposition,
+	// aggregated per (segment kind, stage) across delivered packets. Nil
+	// unless the run was probed (RunProbed with a causal.Profiler).
+	Breakdown []causal.KindStat
+
+	// Obs is the measured-window view of the scenario's registry (counter
+	// values and histogram counts diffed over the window; gauges and
+	// histogram quantiles cumulative). Nil unless Scenario.Obs was set.
+	Obs obs.Snapshot
+}
+
+// Counters are a run's window-delta counters: monotonic totals that
+// host.counters reads at both window boundaries and the Result reports
+// as their difference (summed across hosts on a fabric). Adding one is a
+// field here plus its reader line in host.counters. An `obs:"name[,group]"`
+// tag also publishes the running total in the scenario registry under
+// that name (host-prefixed on a fabric): group "fault" registers only on
+// hosts with a fault injector, "overload" only on hosts with overload
+// control, and "underlay" once per fabric run, unprefixed.
+type Counters struct {
+	// DeliveredBytes / DeliveredSegments over the measured window.
+	DeliveredBytes    uint64
+	DeliveredSegments uint64 `obs:"socket_delivered_segs"`
+
 	// OOOSegments / OOOSKBs count out-of-order arrivals at MFLOW's merge
 	// points (in wire segments and in delivery units — post-GRO skbs —
 	// respectively; Fig. 7 reports the latter, the number of deliveries
@@ -352,123 +418,80 @@ type Result struct {
 
 	// DropsRing / DropsSock / DropsBacklog count losses at the NIC ring,
 	// socket receive queue and intermediate backlog queues.
-	DropsRing    uint64
-	DropsSock    uint64
+	DropsRing    uint64 `obs:"nic_dropped"`
+	DropsSock    uint64 `obs:"socket_dropped"`
 	DropsBacklog uint64
 
-	// WireErrors counts wire-mode integrity failures (decap errors plus
-	// socket payload-verification failures); zero in a correct run
-	// without fault injection (corruption faults surface here).
-	WireErrors uint64
-
-	// Fault-injection and degradation counters, all diffed over the
-	// measured window and zero unless Scenario.Faults is enabled.
+	// Fault-injection and degradation counters, zero unless
+	// Scenario.Faults is enabled.
 	// FaultsInjected counts every injector decision that took effect
 	// (drops, duplications, corruptions); FaultDrops only the losses.
-	FaultsInjected uint64
-	FaultDrops     uint64
+	FaultsInjected uint64 `obs:"faults_injected,fault"`
+	FaultDrops     uint64 `obs:"fault_drops,fault"`
 	// Retransmits counts resent TCP segments; RTOTimeouts timer-driven
 	// recoveries; FastRetransmits triple-dup-ACK recoveries.
-	Retransmits     uint64
-	RTOTimeouts     uint64
-	FastRetransmits uint64
+	Retransmits     uint64 `obs:"retransmits,fault"`
+	RTOTimeouts     uint64 `obs:"rto_timeouts,fault"`
+	FastRetransmits uint64 `obs:"fast_retransmits,fault"`
 	// StaleReleased counts skbs the reassembler delivered behind its
 	// merging counter (late retransmissions); HolesReleased counts
 	// gap-timeout force-releases; OFOPruned counts skbs evicted from the
 	// bounded TCP out-of-order queue; TCPDupSegments counts duplicate
 	// segments the TCP receiver discarded.
-	StaleReleased  uint64
-	HolesReleased  uint64
-	OFOPruned      uint64
-	TCPDupSegments uint64
+	StaleReleased  uint64 `obs:"stale_released,fault"`
+	HolesReleased  uint64 `obs:"holes_released,fault"`
+	OFOPruned      uint64 `obs:"ofo_pruned,fault"`
+	TCPDupSegments uint64 `obs:"tcp_dup_segments,fault"`
 	// ReassemblyErrors counts contiguity violations the reassembler
-	// recorded instead of panicking; ReassemblyErr keeps the first one.
-	ReassemblyErrors uint64
-	ReassemblyErr    error
-	// DeliveredBytes / DeliveredSegments over the measured window.
-	DeliveredBytes    uint64
-	DeliveredSegments uint64
-
-	// Sched is the run's scheduler self-accounting (whole run, warmup
-	// included): how much heap traffic run coalescing and the inline slot
-	// saved. Telemetry only — never fingerprinted or serialized into
-	// benchmark artifacts.
-	Sched sim.SchedStats
-	// GROFactor is the achieved merge factor.
-	GROFactor float64
+	// recorded instead of panicking (Result.ReassemblyErr keeps the first).
+	ReassemblyErrors uint64 `obs:"reassembly_errors,fault"`
 
 	// NIC admission accounting (always measured): OfferedFrames counts
-	// every frame presented to the NIC over the window, AcceptedFrames
-	// those a descriptor ring accepted, and DropsAdmission those the
-	// overload memory budget rejected before the ring. Conservation holds:
+	// every frame presented to the NIC, AcceptedFrames those a descriptor
+	// ring accepted, and DropsAdmission those the overload memory budget
+	// rejected before the ring. Conservation holds:
 	// OfferedFrames == AcceptedFrames + DropsRing + DropsAdmission.
-	OfferedFrames  uint64
-	AcceptedFrames uint64
-	DropsAdmission uint64
+	OfferedFrames  uint64 `obs:"nic_offered"`
+	AcceptedFrames uint64 `obs:"nic_received"`
+	DropsAdmission uint64 `obs:"nic_admission_dropped"`
 
-	// Overload-control counters, all zero unless Scenario.Overload is
+	// Overload-control counters, zero unless Scenario.Overload is
 	// enabled. DropsAQM counts CoDel discards across backlog and splitting
 	// queues (distinct from tail-drop DropsBacklog); OverloadGated counts
 	// enqueues refused by the critical-pressure admission gate.
-	DropsAQM      uint64
-	OverloadGated uint64
+	DropsAQM      uint64 `obs:"aqm_dropped,overload"`
+	OverloadGated uint64 `obs:"overload_gated,overload"`
 	// PollModeEntered / PollModeExited count livelock-mitigation
 	// transitions (IRQs masked / unmasked).
-	PollModeEntered uint64
-	PollModeExited  uint64
+	PollModeEntered uint64 `obs:"poll_mode_entered,overload"`
+	PollModeExited  uint64 `obs:"poll_mode_exited,overload"`
 	// WatchdogResteers counts stalled-branch rescues; WatchdogResteeredSKBs
-	// the skbs moved; WatchdogRecoveryMaxNs the longest observed stall
-	// detection→recovery interval in sim-ns.
-	WatchdogResteers      uint64
-	WatchdogResteeredSKBs uint64
-	WatchdogRecoveryMaxNs int64
+	// the skbs moved.
+	WatchdogResteers      uint64 `obs:"watchdog_resteers,overload"`
+	WatchdogResteeredSKBs uint64 `obs:"watchdog_resteered_skbs,overload"`
 	// DegradeCollapses / DegradeRestores count splitting-degree collapses
 	// to 1 (≈ RPS) and parallelism restorations; ReasmBudgetReleased the
 	// skbs the reassembler force-released over its memory budget.
-	DegradeCollapses    uint64
-	DegradeRestores     uint64
-	ReasmBudgetReleased uint64
-	// MemPeakBytes is the skb memory account's high-water mark;
-	// AQMSojournP99 the p99 queue sojourn (ns) the AQM observed over the
-	// measured window.
-	MemPeakBytes  int
-	AQMSojournP99 int64
+	DegradeCollapses    uint64 `obs:"degrade_collapses,overload"`
+	DegradeRestores     uint64 `obs:"degrade_restores,overload"`
+	ReasmBudgetReleased uint64 `obs:"reasm_budget_released,overload"`
 
-	// Fabric counters, all zero unless Scenario.Fabric is enabled.
+	// Fabric underlay counters, zero unless Scenario.Fabric is enabled.
 	// UnderlaySent counts frames put on the underlay toward their owner
-	// host over the measured window; UnderlayDelivered those handed to a
-	// remote NIC chain; UnderlayDrops tail drops at link queues.
-	// Conservation holds across window boundaries:
-	// UnderlaySent + UnderlayInFlightStart ==
-	//     UnderlayDelivered + UnderlayDrops + UnderlayInFlightEnd.
-	UnderlaySent      uint64
-	UnderlayDelivered uint64
-	UnderlayDrops     uint64
+	// host; UnderlayDelivered those handed to a remote NIC chain;
+	// UnderlayDrops tail drops at link queues. Conservation holds across
+	// window boundaries:
+	// UnderlaySent + Result.UnderlayInFlightStart ==
+	//     UnderlayDelivered + UnderlayDrops + Result.UnderlayInFlightEnd.
+	UnderlaySent      uint64 `obs:"underlay_sent,underlay"`
+	UnderlayDelivered uint64 `obs:"underlay_delivered,underlay"`
+	UnderlayDrops     uint64 `obs:"underlay_dropped,underlay"`
 	// UnderlayFloodCopies counts head-end-replication copies serialized
 	// for non-owner peers while a destination MAC was unlearned.
-	UnderlayFloodCopies uint64
-	// UnderlayInFlightStart/End are the frames inside the underlay at the
-	// measurement window's boundaries (absolute gauges, not diffs).
-	UnderlayInFlightStart int
-	UnderlayInFlightEnd   int
-	// FDBFloods / FDBLearned / FDBAged count cross-host bridge FDB
-	// activity over the whole run (totals, not window deltas — the
-	// flood-then-learn transient plays out during warmup): frames flooded
-	// for an unknown (or aged) destination, new entries learned, entries
-	// expired by FDBMaxAge.
-	FDBFloods  uint64
-	FDBLearned uint64
-	FDBAged    uint64
+	UnderlayFloodCopies uint64 `obs:"underlay_flood_copies,underlay"`
 
-	// Breakdown is the measured-window causal latency decomposition,
-	// aggregated per (segment kind, stage) across delivered packets. Nil
-	// unless the run was probed (RunProbed with a causal.Profiler).
-	Breakdown []causal.KindStat
-
-	// Obs is the measured-window view of the scenario's registry (counter
-	// values and histogram counts diffed over the window; gauges and
-	// histogram quantiles cumulative). Nil unless Scenario.Obs was set.
-	Obs obs.Snapshot
+	// msgs counts completed messages, the numerator of Result.MsgPerSec.
+	msgs uint64
 }
 
 // String summarizes the headline numbers.
