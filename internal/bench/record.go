@@ -88,6 +88,13 @@ func (r *Runner) recordingFor(fig string) *recording {
 	return rec
 }
 
+// hasApp reports whether an application-benchmark result is cached.
+func (r *Runner) hasApp(key string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.webs[key] != nil || r.cachegs[key] != nil
+}
+
 // workers resolves the Runner's pool width for Prefetch.
 func (r *Runner) workers() int {
 	if r.Parallel > 1 {
@@ -145,10 +152,7 @@ func (r *Runner) Prefetch(figs ...string) {
 	}
 	for _, cfg := range all.web {
 		key := webKey(cfg)
-		r.mu.Lock()
-		_, have := r.webs[key]
-		r.mu.Unlock()
-		if have {
+		if r.hasApp(key) {
 			continue
 		}
 		jobs = append(jobs, harness.Job[outcome]{Name: key, Run: func() outcome {
@@ -157,10 +161,7 @@ func (r *Runner) Prefetch(figs ...string) {
 	}
 	for _, cfg := range all.caching {
 		key := cachingKey(cfg)
-		r.mu.Lock()
-		_, have := r.cachegs[key]
-		r.mu.Unlock()
-		if have {
+		if r.hasApp(key) {
 			continue
 		}
 		jobs = append(jobs, harness.Job[outcome]{Name: key, Run: func() outcome {
