@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mflow/internal/bench"
@@ -31,39 +32,47 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mflowinspect", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		system    = flag.String("system", "mflow", "steering system: native|vanilla|rps|falcon-dev|falcon-func|mflow|slim")
-		proto     = flag.String("proto", "tcp", "protocol: tcp|udp")
-		size      = flag.Int("size", 65536, "message size (bytes)")
-		flows     = flag.Int("flows", 1, "concurrent flows")
-		batch     = flag.Int("batch", 0, "MFLOW micro-flow batch size (0 = default)")
-		chaos     = flag.String("chaos", "", "fault profile: random|burst (default lossless)")
-		measure   = flag.Int("measure-ms", 12, "measured window (simulated ms)")
-		warmup    = flag.Int("warmup-ms", 3, "warmup (simulated ms)")
-		seed      = flag.Uint64("seed", 42, "simulation seed")
-		exemplars = flag.Int("exemplars", causal.DefaultExemplarsPerFlow, "slowest-packet timelines kept per flow")
-		perfetto  = flag.String("perfetto", "", "write flight-recorder snapshots as a Perfetto trace to this file")
-		fig       = flag.String("fig", "", "figure-style causal comparison (7: reorder-wait vs batch size, MFLOW vs RPS)")
-		compare   = flag.String("compare", "", "baseline BENCH_*.json: regenerate at its seed/windows and fail on breakdown or table drift")
-		against   = flag.String("against", "", "with -compare: diff against this artifact instead of regenerating")
-		tolerance = flag.Float64("tolerance", 0.10, "relative throughput drop tolerated by -compare")
+		system    = fs.String("system", "mflow", "steering system: native|vanilla|rps|falcon-dev|falcon-func|mflow|slim")
+		proto     = fs.String("proto", "tcp", "protocol: tcp|udp")
+		size      = fs.Int("size", 65536, "message size (bytes)")
+		flows     = fs.Int("flows", 1, "concurrent flows")
+		batch     = fs.Int("batch", 0, "MFLOW micro-flow batch size (0 = default)")
+		chaos     = fs.String("chaos", "", "fault profile: random|burst (default lossless)")
+		measure   = fs.Int("measure-ms", 12, "measured window (simulated ms)")
+		warmup    = fs.Int("warmup-ms", 3, "warmup (simulated ms)")
+		seed      = fs.Uint64("seed", 42, "simulation seed")
+		exemplars = fs.Int("exemplars", causal.DefaultExemplarsPerFlow, "slowest-packet timelines kept per flow")
+		perfetto  = fs.String("perfetto", "", "write flight-recorder snapshots as a Perfetto trace to this file")
+		fig       = fs.String("fig", "", "figure-style causal comparison (7: reorder-wait vs batch size, MFLOW vs RPS)")
+		compare   = fs.String("compare", "", "baseline BENCH_*.json: regenerate at its seed/windows and fail on breakdown or table drift")
+		against   = fs.String("against", "", "with -compare: diff against this artifact instead of regenerating")
+		tolerance = fs.Float64("tolerance", 0.10, "relative throughput drop tolerated by -compare")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 
 	switch {
 	case *compare != "":
-		os.Exit(runCompare(*compare, *against, *tolerance))
+		return runCompare(stdout, stderr, *compare, *against, *tolerance)
 	case *fig == "7":
-		os.Exit(runFig7(*seed, *warmup, *measure))
+		return runFig7(stdout, stderr, *seed, *warmup, *measure)
 	case *fig != "":
-		fmt.Fprintf(os.Stderr, "mflowinspect: unknown -fig %q (supported: 7)\n", *fig)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mflowinspect: unknown -fig %q (supported: 7)\n", *fig)
+		return 2
 	}
 
 	sys, err := steering.ParseSystem(*system)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	pr := skb.TCP
 	switch *proto {
@@ -71,8 +80,8 @@ func main() {
 	case "udp", "UDP":
 		pr = skb.UDP
 	default:
-		fmt.Fprintf(os.Stderr, "mflowinspect: unknown -proto %q\n", *proto)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mflowinspect: unknown -proto %q\n", *proto)
+		return 2
 	}
 	sc := overlay.Scenario{
 		System: sys, Proto: pr, MsgSize: *size, Flows: *flows,
@@ -83,59 +92,59 @@ func main() {
 	if *chaos != "" {
 		plan, ok := fault.ChaosProfiles()[*chaos]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "mflowinspect: unknown -chaos %q (random|burst)\n", *chaos)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "mflowinspect: unknown -chaos %q (random|burst)\n", *chaos)
+			return 2
 		}
 		sc.Faults = plan
 	}
-	os.Exit(runLive(sc, *exemplars, *perfetto))
+	return runLive(stdout, stderr, sc, *exemplars, *perfetto)
 }
 
 // runLive executes one probed scenario and prints its causal attribution.
-func runLive(sc overlay.Scenario, exemplars int, perfetto string) int {
+func runLive(stdout, stderr io.Writer, sc overlay.Scenario, exemplars int, perfetto string) int {
 	p := &causal.Profiler{ExemplarsPerFlow: exemplars}
 	fr := causal.NewFlightRecorder()
 	res := overlay.RunProbed(sc, overlay.Probes{Causal: p, Flight: fr})
 
-	fmt.Println(res.String())
-	fmt.Printf("packets: %d delivered, %d GRO-absorbed, %d dropped\n\n",
+	fmt.Fprintln(stdout, res.String())
+	fmt.Fprintf(stdout, "packets: %d delivered, %d GRO-absorbed, %d dropped\n\n",
 		p.DeliveredPkts, p.AbsorbedPkts, p.DroppedPkts)
-	fmt.Println(bench.BreakdownTable(res).Render())
+	fmt.Fprintln(stdout, bench.BreakdownTable(res).Render())
 
 	if ex := p.Exemplars(); len(ex) > 0 {
-		fmt.Printf("slowest packets (%d per flow):\n", exemplars)
+		fmt.Fprintf(stdout, "slowest packets (%d per flow):\n", exemplars)
 		for _, r := range ex {
-			fmt.Print(causal.RenderTimeline(r))
+			fmt.Fprint(stdout, causal.RenderTimeline(r))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if kinds := fr.TriggerKinds(); len(kinds) > 0 {
-		fmt.Println("flight-recorder triggers:")
+		fmt.Fprintln(stdout, "flight-recorder triggers:")
 		for _, k := range kinds {
-			fmt.Printf("  %-14s %d (snapshots kept: see -perfetto)\n", k, fr.Triggers[k])
+			fmt.Fprintf(stdout, "  %-14s %d (snapshots kept: see -perfetto)\n", k, fr.Triggers[k])
 		}
 	} else {
-		fmt.Println("flight-recorder triggers: none")
+		fmt.Fprintln(stdout, "flight-recorder triggers: none")
 	}
 	if perfetto != "" {
 		f, err := os.Create(perfetto)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		if err := fr.Export(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "mflowinspect: wrote %s (%d snapshots)\n", perfetto, len(fr.Snapshots))
+		fmt.Fprintf(stderr, "mflowinspect: wrote %s (%d snapshots)\n", perfetto, len(fr.Snapshots))
 	}
 	if v := p.Violations(); v > 0 {
-		fmt.Fprintf(os.Stderr, "mflowinspect: %d attribution violation(s); first: %s\n", v, p.FirstViolation())
+		fmt.Fprintf(stderr, "mflowinspect: %d attribution violation(s); first: %s\n", v, p.FirstViolation())
 		return 1
 	}
 	return 0
@@ -147,16 +156,18 @@ var fig7Batches = []int{1, 4, 16, 64, 256, 1024, 4096}
 // runFig7 renders the causal view of the paper's Fig. 7: how much of MFLOW's
 // latency is reassembly reorder-wait at each micro-flow batch size, against
 // the RPS baseline — whose waits are steering handoffs, not reassembly.
-func runFig7(seed uint64, warmupMs, measureMs int) int {
+func runFig7(stdout, stderr io.Writer, seed uint64, warmupMs, measureMs int) int {
 	warmup := sim.Duration(warmupMs) * sim.Millisecond
 	measure := sim.Duration(measureMs) * sim.Millisecond
+	// probe runs sc with the profiler attached; a nil profiler means the
+	// run broke conservation (already reported).
 	probe := func(sc overlay.Scenario) (*overlay.Result, *causal.Profiler) {
 		sc.Seed, sc.Warmup, sc.Measure = seed, warmup, measure
 		p := causal.NewProfiler()
 		res := overlay.RunProbed(sc, overlay.Probes{Causal: p})
 		if v := p.Violations(); v > 0 {
-			fmt.Fprintf(os.Stderr, "mflowinspect: %d violation(s): %s\n", v, p.FirstViolation())
-			os.Exit(1)
+			fmt.Fprintf(stderr, "mflowinspect: %d violation(s): %s\n", v, p.FirstViolation())
+			return res, nil
 		}
 		return res, p
 	}
@@ -188,6 +199,9 @@ func runFig7(seed uint64, warmupMs, measureMs int) int {
 			System: steering.MFlow, Proto: skb.TCP, MsgSize: 65536,
 			MFlow: overlay.MFlowConfig{BatchSize: b},
 		})
+		if p == nil {
+			return 1
+		}
 		if b == 256 {
 			mflow256 = res
 		}
@@ -200,6 +214,9 @@ func runFig7(seed uint64, warmupMs, measureMs int) int {
 	}
 	{
 		res, p := probe(overlay.Scenario{System: steering.RPS, Proto: skb.TCP, MsgSize: 65536})
+		if p == nil {
+			return 1
+		}
 		rps = res
 		t.Rows = append(t.Rows, []string{
 			"rps", "-",
@@ -213,10 +230,10 @@ func runFig7(seed uint64, warmupMs, measureMs int) int {
 		"never wait on reordering — their cross-core cost is the steer + IPI handoff.",
 		fmt.Sprintf("mflow handoff mechanism: %s; rps: %s",
 			steering.HandoffLabel(steering.MFlow), steering.HandoffLabel(steering.RPS)))
-	fmt.Println(t.Render())
+	fmt.Fprintln(stdout, t.Render())
 
-	fmt.Println(bench.BreakdownTable(mflow256).Render())
-	fmt.Println(bench.BreakdownTable(rps).Render())
+	fmt.Fprintln(stdout, bench.BreakdownTable(mflow256).Render())
+	fmt.Fprintln(stdout, bench.BreakdownTable(rps).Render())
 	return 0
 }
 
@@ -224,16 +241,16 @@ func runFig7(seed uint64, warmupMs, measureMs int) int {
 // figure/seed/windows (probed — proving probes don't drift results) or diffs
 // it against a second artifact. Any cell-level table drift, breakdown drift,
 // or throughput regression beyond tolerance fails.
-func runCompare(basePath, againstPath string, tol float64) int {
+func runCompare(stdout, stderr io.Writer, basePath, againstPath string, tol float64) int {
 	base, err := bench.LoadArtifact(basePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	var cur *bench.Artifact
 	if againstPath != "" {
 		if cur, err = bench.LoadArtifact(againstPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	} else {
@@ -245,7 +262,7 @@ func runCompare(basePath, againstPath string, tol float64) int {
 		r.Causal = true
 		tables, err := r.Tables(base.Figure)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		cur = r.Artifact(base.Figure, tables)
@@ -256,12 +273,12 @@ func runCompare(basePath, againstPath string, tol float64) int {
 		drift = append(drift, g.String())
 	}
 	if len(drift) > 0 {
-		fmt.Fprintf(os.Stderr, "mflowinspect: %d drift line(s) vs %s:\n", len(drift), basePath)
+		fmt.Fprintf(stderr, "mflowinspect: %d drift line(s) vs %s:\n", len(drift), basePath)
 		for _, d := range drift {
-			fmt.Fprintf(os.Stderr, "  %s\n", d)
+			fmt.Fprintf(stderr, "  %s\n", d)
 		}
 		return 1
 	}
-	fmt.Printf("mflowinspect: no drift vs %s (%d tables, %d runs)\n", basePath, len(base.Tables), len(base.Runs))
+	fmt.Fprintf(stdout, "mflowinspect: no drift vs %s (%d tables, %d runs)\n", basePath, len(base.Tables), len(base.Runs))
 	return 0
 }

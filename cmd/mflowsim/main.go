@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -40,57 +41,65 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mflowsim", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		system  = flag.String("system", "mflow", "system under test: native|vanilla|rps|falcon-dev|falcon-func|mflow")
-		proto   = flag.String("proto", "tcp", "transport: tcp|udp")
-		size    = flag.Int("size", 65536, "message size in bytes")
-		flows   = flag.Int("flows", 1, "concurrent flows")
-		kcores  = flag.Int("kernel-cores", 0, "kernel (softirq) cores (default 6; 10 for multi-flow)")
-		acores  = flag.Int("app-cores", 0, "application cores (default 1)")
-		window  = flag.Int("window", 0, "TCP sender window in segments (default 2048)")
-		batch   = flag.Int("batch", 0, "mflow micro-flow batch size (default 256)")
-		split   = flag.Int("split", 0, "mflow splitting cores (default 2)")
-		shared  = flag.Bool("shared-queue", false, "pin all overlay flows to one RSS queue (Docker outer-hash pathology)")
-		seed    = flag.Uint64("seed", 42, "simulation seed")
-		measure = flag.Int("measure-ms", 24, "measured window (simulated milliseconds)")
-		warmup  = flag.Int("warmup-ms", 4, "warmup (simulated milliseconds)")
-		cpu     = flag.Bool("cpu", false, "print the per-core CPU utilization breakdown")
-		metOut  = flag.String("metrics", "", "attach the observability registry and write its measured-window snapshot (queue depths, per-stage latency, NIC/device counters) as JSON to this file")
-		pcapOut = flag.String("pcap", "", "write wire-mode traffic to this pcap file (implies wire mode)")
-		wire    = flag.Bool("wire", false, "wire mode: real bytes end to end with integrity checks")
-		detect  = flag.Bool("autodetect", false, "split only detector-promoted elephant flows")
-		modelTX = flag.Bool("modeltx", false, "model the sender-side transmit pipeline explicitly")
+		system  = fs.String("system", "mflow", "system under test: native|vanilla|rps|falcon-dev|falcon-func|mflow")
+		proto   = fs.String("proto", "tcp", "transport: tcp|udp")
+		size    = fs.Int("size", 65536, "message size in bytes")
+		flows   = fs.Int("flows", 1, "concurrent flows")
+		kcores  = fs.Int("kernel-cores", 0, "kernel (softirq) cores (default 6; 10 for multi-flow)")
+		acores  = fs.Int("app-cores", 0, "application cores (default 1)")
+		window  = fs.Int("window", 0, "TCP sender window in segments (default 2048)")
+		batch   = fs.Int("batch", 0, "mflow micro-flow batch size (default 256)")
+		split   = fs.Int("split", 0, "mflow splitting cores (default 2)")
+		shared  = fs.Bool("shared-queue", false, "pin all overlay flows to one RSS queue (Docker outer-hash pathology)")
+		seed    = fs.Uint64("seed", 42, "simulation seed")
+		measure = fs.Int("measure-ms", 24, "measured window (simulated milliseconds)")
+		warmup  = fs.Int("warmup-ms", 4, "warmup (simulated milliseconds)")
+		cpu     = fs.Bool("cpu", false, "print the per-core CPU utilization breakdown")
+		metOut  = fs.String("metrics", "", "attach the observability registry and write its measured-window snapshot (queue depths, per-stage latency, NIC/device counters) as JSON to this file")
+		pcapOut = fs.String("pcap", "", "write wire-mode traffic to this pcap file (implies wire mode)")
+		wire    = fs.Bool("wire", false, "wire mode: real bytes end to end with integrity checks")
+		detect  = fs.Bool("autodetect", false, "split only detector-promoted elephant flows")
+		modelTX = fs.Bool("modeltx", false, "model the sender-side transmit pipeline explicitly")
 
-		hosts     = flag.Int("hosts", 1, "simulated hosts sharing one clock (>= 2 enables the multi-host fabric)")
-		placement = flag.String("placement", "", "fabric flow placement: pair|incast (requires -hosts >= 2)")
-		underlay  = flag.String("underlay", "", "fabric underlay as gbps,latency_us,queue_kb (e.g. 40,5,512; requires -hosts >= 2)")
+		hosts     = fs.Int("hosts", 1, "simulated hosts sharing one clock (>= 2 enables the multi-host fabric)")
+		placement = fs.String("placement", "", "fabric flow placement: pair|incast (requires -hosts >= 2)")
+		underlay  = fs.String("underlay", "", "fabric underlay as gbps,latency_us,queue_kb (e.g. 40,5,512; requires -hosts >= 2)")
 
-		loss      = flag.Float64("loss", 0, "uniform wire-frame drop probability (enables fault injection)")
-		burst     = flag.String("burst", "", "Gilbert-Elliott burst loss as pGoodBad,pBadGood,lossBad (e.g. 0.002,0.1,0.75)")
-		dup       = flag.Float64("dup", 0, "wire-frame duplication probability")
-		corrupt   = flag.Float64("corrupt", 0, "wire-frame corruption probability (detected by -wire checksums)")
-		stall     = flag.Float64("stall", 0, "per-execution kernel-core stall probability (20us mean stalls)")
-		faultseed = flag.Uint64("faultseed", 0, "extra seed for the fault injector's own PRNG")
-		ovName    = flag.String("overload", "", "enable overload control with a named profile: "+overloadNames())
+		loss      = fs.Float64("loss", 0, "uniform wire-frame drop probability (enables fault injection)")
+		burst     = fs.String("burst", "", "Gilbert-Elliott burst loss as pGoodBad,pBadGood,lossBad (e.g. 0.002,0.1,0.75)")
+		dup       = fs.Float64("dup", 0, "wire-frame duplication probability")
+		corrupt   = fs.Float64("corrupt", 0, "wire-frame corruption probability (detected by -wire checksums)")
+		stall     = fs.Float64("stall", 0, "per-execution kernel-core stall probability (20us mean stalls)")
+		faultseed = fs.Uint64("faultseed", 0, "extra seed for the fault injector's own PRNG")
+		ovName    = fs.String("overload", "", "enable overload control with a named profile: "+overloadNames())
 
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile after the run to this file")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile after the run to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 
 	if err := validateFlags(*size, *flows, *loss, *dup, *corrupt, *stall); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	fcfg, err := fabricConfig(*hosts, *placement, *underlay)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	sys, err := steering.ParseSystem(*system)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	var p skb.Proto
 	switch strings.ToLower(*proto) {
@@ -99,16 +108,16 @@ func main() {
 	case "udp":
 		p = skb.UDP
 	default:
-		fmt.Fprintf(os.Stderr, "unknown proto %q\n", *proto)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown proto %q\n", *proto)
+		return 2
 	}
 
 	var capture *os.File
 	if *pcapOut != "" {
 		f, err := os.Create(*pcapOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		capture = f
 		defer f.Close()
@@ -144,8 +153,8 @@ func main() {
 		if *burst != "" {
 			ge, err := parseBurst(*burst)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 			plan.Wire.Burst = ge
 		}
@@ -158,8 +167,8 @@ func main() {
 	if *ovName != "" {
 		cfg, ok := overload.Profiles()[*ovName]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -overload profile %q: want %s\n", *ovName, overloadNames())
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown -overload profile %q: want %s\n", *ovName, overloadNames())
+			return 2
 		}
 		sc.Overload = cfg
 	}
@@ -172,62 +181,63 @@ func main() {
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	res := overlay.Run(sc)
 	stopProf()
-	fmt.Printf("scenario   %s\n", res.Scenario.Name())
-	fmt.Printf("throughput %.2f Gbps (%.0f msg/s, %d segments)\n", res.Gbps, res.MsgPerSec, res.DeliveredSegments)
-	fmt.Printf("latency    p50=%v  mean=%v  p99=%v\n",
+	fmt.Fprintf(stdout, "scenario   %s\n", res.Scenario.Name())
+	fmt.Fprintf(stdout, "throughput %.2f Gbps (%.0f msg/s, %d segments)\n", res.Gbps, res.MsgPerSec, res.DeliveredSegments)
+	fmt.Fprintf(stdout, "latency    p50=%v  mean=%v  p99=%v\n",
 		sim.Duration(res.Latency.Median()), sim.Duration(int64(res.Latency.Mean())), sim.Duration(res.Latency.P99()))
-	fmt.Printf("gro        factor %.1f\n", res.GROFactor)
-	fmt.Printf("ordering   merge-point OOO: %d skbs / %d segments; delivered OOO: %d; tcp ofo: %d; merges: %d\n",
+	fmt.Fprintf(stdout, "gro        factor %.1f\n", res.GROFactor)
+	fmt.Fprintf(stdout, "ordering   merge-point OOO: %d skbs / %d segments; delivered OOO: %d; tcp ofo: %d; merges: %d\n",
 		res.OOOSKBs, res.OOOSegments, res.DeliveredOutOfOrder, res.TCPOFOSegments, res.ReassemblySwitches)
-	fmt.Printf("drops      ring=%d socket=%d backlog=%d\n", res.DropsRing, res.DropsSock, res.DropsBacklog)
-	fmt.Printf("kernel cpu total=%.0f%% stddev=%.1fpp\n", res.KernelCPUTotal, res.KernelCPUStddev)
+	fmt.Fprintf(stdout, "drops      ring=%d socket=%d backlog=%d\n", res.DropsRing, res.DropsSock, res.DropsBacklog)
+	fmt.Fprintf(stdout, "kernel cpu total=%.0f%% stddev=%.1fpp\n", res.KernelCPUTotal, res.KernelCPUStddev)
 	if sc.Faults.Enabled() {
-		fmt.Printf("faults     injected=%d (drops=%d) retransmits=%d (rto=%d fast=%d) holes=%d stale=%d ofo-pruned=%d dup-segs=%d reasm-errs=%d\n",
+		fmt.Fprintf(stdout, "faults     injected=%d (drops=%d) retransmits=%d (rto=%d fast=%d) holes=%d stale=%d ofo-pruned=%d dup-segs=%d reasm-errs=%d\n",
 			res.FaultsInjected, res.FaultDrops, res.Retransmits, res.RTOTimeouts,
 			res.FastRetransmits, res.HolesReleased, res.StaleReleased, res.OFOPruned,
 			res.TCPDupSegments, res.ReassemblyErrors)
 	}
 	if sc.Overload.Enabled() {
-		fmt.Printf("overload   offered=%d accepted=%d adm-drops=%d aqm-drops=%d gated=%d poll=%d/%d resteers=%d collapse/restore=%d/%d mem-peak=%dKB sojourn-p99=%v\n",
+		fmt.Fprintf(stdout, "overload   offered=%d accepted=%d adm-drops=%d aqm-drops=%d gated=%d poll=%d/%d resteers=%d collapse/restore=%d/%d mem-peak=%dKB sojourn-p99=%v\n",
 			res.OfferedFrames, res.AcceptedFrames, res.DropsAdmission, res.DropsAQM,
 			res.OverloadGated, res.PollModeEntered, res.PollModeExited,
 			res.WatchdogResteers, res.DegradeCollapses, res.DegradeRestores,
 			res.MemPeakBytes/1024, sim.Duration(res.AQMSojournP99))
 	}
 	if sc.Fabric.Enabled() {
-		fmt.Printf("fabric     hosts=%d underlay sent=%d delivered=%d drops=%d copies=%d in-flight=%d/%d fdb floods=%d learned=%d aged=%d\n",
+		fmt.Fprintf(stdout, "fabric     hosts=%d underlay sent=%d delivered=%d drops=%d copies=%d in-flight=%d/%d fdb floods=%d learned=%d aged=%d\n",
 			sc.Fabric.Hosts, res.UnderlaySent, res.UnderlayDelivered, res.UnderlayDrops,
 			res.UnderlayFloodCopies, res.UnderlayInFlightStart, res.UnderlayInFlightEnd,
 			res.FDBFloods, res.FDBLearned, res.FDBAged)
 	}
 	if *wire {
-		fmt.Printf("wire       integrity errors: %d\n", res.WireErrors)
+		fmt.Fprintf(stdout, "wire       integrity errors: %d\n", res.WireErrors)
 	}
 	if *pcapOut != "" {
-		fmt.Printf("pcap       written to %s\n", *pcapOut)
+		fmt.Fprintf(stdout, "pcap       written to %s\n", *pcapOut)
 	}
 	if *cpu {
-		fmt.Print(metrics.FormatCPU(res.CPU))
+		fmt.Fprint(stdout, metrics.FormatCPU(res.CPU))
 	}
 	if *metOut != "" {
 		f, err := os.Create(*metOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := res.Obs.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		f.Close()
-		fmt.Printf("queues     %s\n", queueSummary(res.Obs))
-		fmt.Printf("metrics    written to %s (%d series)\n", *metOut, len(res.Obs))
+		fmt.Fprintf(stdout, "queues     %s\n", queueSummary(res.Obs))
+		fmt.Fprintf(stdout, "metrics    written to %s (%d series)\n", *metOut, len(res.Obs))
 	}
+	return 0
 }
 
 // validateFlags rejects nonsense before any simulation state is built:

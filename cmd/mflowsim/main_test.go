@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"mflow/internal/pcap"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -128,5 +133,31 @@ func TestFabricConfig(t *testing.T) {
 			t.Errorf("fabricConfig(%d, %q, %q) accepted invalid input",
 				bad.hosts, bad.placement, bad.underlay)
 		}
+	}
+}
+
+// TestRunFabricPcap: a 2-host fabric run with -pcap writes a non-empty
+// capture that parses as one pcap stream.
+func TestRunFabricPcap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.pcap")
+	var out, errb bytes.Buffer
+	args := []string{"-hosts", "2", "-flows", "2", "-warmup-ms", "1", "-measure-ms", "1", "-pcap", path}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "pcap       written to") {
+		t.Errorf("output lacks the pcap line:\n%s", out.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pkts, err := pcap.Read(f)
+	if err != nil {
+		t.Fatalf("capture does not parse: %v", err)
+	}
+	if len(pkts) == 0 {
+		t.Error("capture is empty")
 	}
 }

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -31,20 +32,28 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mflowtrace", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		system = flag.String("system", "mflow", "system under test")
-		proto  = flag.String("proto", "tcp", "transport: tcp|udp")
-		size   = flag.Int("size", 65536, "message size in bytes")
-		segs   = flag.Int("segs", 4, "number of segments to print journeys for")
-		batch  = flag.Int("batch", 0, "mflow micro-flow batch size")
-		export = flag.String("export", "", "write a Perfetto/chrome://tracing-loadable trace-event JSON timeline (per-core busy tracks + per-flow packet tracks) to this file")
+		system = fs.String("system", "mflow", "system under test")
+		proto  = fs.String("proto", "tcp", "transport: tcp|udp")
+		size   = fs.Int("size", 65536, "message size in bytes")
+		segs   = fs.Int("segs", 4, "number of segments to print journeys for")
+		batch  = fs.Int("batch", 0, "mflow micro-flow batch size")
+		export = fs.String("export", "", "write a Perfetto/chrome://tracing-loadable trace-event JSON timeline (per-core busy tracks + per-flow packet tracks) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 
 	sys, err := steering.ParseSystem(*system)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	p := skb.TCP
 	if strings.EqualFold(*proto, "udp") {
@@ -75,9 +84,9 @@ func main() {
 	}
 	overlay.Run(sc)
 
-	fmt.Printf("traced %d events across stages %v\n\n", len(tr.Events()), tr.Stages())
+	fmt.Fprintf(stdout, "traced %d events across stages %v\n\n", len(tr.Events()), tr.Stages())
 	for s := 0; s < *segs; s++ {
-		fmt.Print(tr.RenderJourney(1, uint64(s)))
+		fmt.Fprint(stdout, tr.RenderJourney(1, uint64(s)))
 	}
 	// And one segment from the next micro-flow, to show the fan-out.
 	if *batch != 1 {
@@ -85,11 +94,11 @@ func main() {
 		if b == 0 {
 			b = 256
 		}
-		fmt.Printf("\n(next micro-flow)\n")
-		fmt.Print(tr.RenderJourney(1, b))
+		fmt.Fprintf(stdout, "\n(next micro-flow)\n")
+		fmt.Fprint(stdout, tr.RenderJourney(1, b))
 	}
 
-	fmt.Println("\nper-core stage occupancy (traced packets):")
+	fmt.Fprintln(stdout, "\nper-core stage occupancy (traced packets):")
 	occ := tr.CoreOccupancy()
 	cores := make([]int, 0, len(occ))
 	for c := range occ {
@@ -97,21 +106,25 @@ func main() {
 	}
 	sort.Ints(cores)
 	for _, c := range cores {
-		fmt.Printf("  core %d: %v\n", c, occ[c])
+		fmt.Fprintf(stdout, "  core %d: %v\n", c, occ[c])
 	}
 
 	if *export != "" {
 		f, err := os.Create(*export)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		if err := obs.ExportChromeTrace(f, tr.Events(), clog); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		err = obs.ExportChromeTrace(f, tr.Events(), clog)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
-		fmt.Printf("\nexported %d core intervals + %d packet events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "\nexported %d core intervals + %d packet events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
 			len(clog.Intervals), len(tr.Events()), *export)
 	}
+	return 0
 }

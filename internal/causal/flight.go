@@ -31,15 +31,22 @@ type FlightEvent struct {
 	End   sim.Time
 }
 
-// coreRing is a fixed-capacity overwrite-oldest buffer of FlightEvents.
-type coreRing struct {
-	buf  []FlightEvent
-	next int
-	full bool
+// CoreRing is one core's fixed-capacity overwrite-oldest buffer of
+// FlightEvents. All methods tolerate a nil receiver.
+type CoreRing struct {
+	host, core int
+	buf        []FlightEvent
+	next       int
+	full       bool
 }
 
-func (r *coreRing) push(e FlightEvent) {
-	r.buf[r.next] = e
+// Push records one execution interval; its signature matches
+// sim.Core.ExecLog.
+func (r *CoreRing) Push(tag string, start, end sim.Time) {
+	if r == nil {
+		return
+	}
+	r.buf[r.next] = FlightEvent{Tag: tag, Start: start, End: end}
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -48,7 +55,7 @@ func (r *coreRing) push(e FlightEvent) {
 }
 
 // snapshot returns the ring's contents oldest-first.
-func (r *coreRing) snapshot() []FlightEvent {
+func (r *CoreRing) snapshot() []FlightEvent {
 	if !r.full {
 		return append([]FlightEvent(nil), r.buf[:r.next]...)
 	}
@@ -59,15 +66,17 @@ func (r *coreRing) snapshot() []FlightEvent {
 
 // CoreSnapshot is one core's recent-execution window at trigger time.
 type CoreSnapshot struct {
+	Host   int
 	Core   int
 	Events []FlightEvent
 }
 
 // Snapshot is the flight recorder's capture of one anomaly: what every core
-// was running just before it fired. Cores are in ascending id order.
+// was running just before it fired. Cores are in ascending (host, core)
+// order.
 type Snapshot struct {
 	// Kind names the trigger ("drop-ring", "drop-backlog", "drop-sock",
-	// "drop-split", "tcp-dup", "rto", "gap-timeout", "corruption").
+	// "drop-split", "rto", "gap-timeout", "corruption").
 	Kind string
 	// Pkt / Flow identify the packet the anomaly hit (Pkt 0 when the
 	// trigger has no single packet, e.g. an RTO).
@@ -79,9 +88,9 @@ type Snapshot struct {
 }
 
 // FlightRecorder captures per-core execution history into fixed rings and
-// snapshots them on anomaly triggers. All methods tolerate a nil receiver.
-// It observes cores by chaining their ExecLog hooks, composing with an
-// already-attached obs.CoreLog.
+// snapshots them on anomaly triggers. It is a plain sink: the run's probe
+// wiring creates one ring per core (Ring) and feeds it from that core's
+// ExecLog. All methods tolerate a nil receiver.
 type FlightRecorder struct {
 	// RingSize is the per-core ring capacity (<= 0: DefaultRingSize).
 	RingSize int
@@ -94,51 +103,37 @@ type FlightRecorder struct {
 	// snapshot bound.
 	Triggers map[string]uint64
 
-	rings map[int]*coreRing
-	order []int
+	// rings is kept in ascending (host, core) order.
+	rings []*CoreRing
 }
 
 // NewFlightRecorder returns a recorder with defaults.
 func NewFlightRecorder() *FlightRecorder { return &FlightRecorder{} }
 
-// Attach starts recording the given cores, chaining after any ExecLog hook
-// already installed (e.g. obs.CoreLog). Call once, after other observers.
-func (fr *FlightRecorder) Attach(cores ...*sim.Core) {
+// Ring adds a ring for core of host and returns it (nil on a nil
+// recorder). Every snapshot captures every ring.
+func (fr *FlightRecorder) Ring(host, core int) *CoreRing {
 	if fr == nil {
-		return
+		return nil
 	}
 	size := fr.RingSize
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	if fr.rings == nil {
-		fr.rings = make(map[int]*coreRing)
-	}
-	for _, c := range cores {
-		if _, dup := fr.rings[c.ID]; dup {
-			continue
-		}
-		ring := &coreRing{buf: make([]FlightEvent, size)}
-		fr.rings[c.ID] = ring
-		fr.order = append(fr.order, c.ID)
-		prev := c.ExecLog
-		if prev == nil {
-			c.ExecLog = func(_ int, tag string, start, end sim.Time) {
-				ring.push(FlightEvent{Tag: tag, Start: start, End: end})
-			}
-		} else {
-			c.ExecLog = func(id int, tag string, start, end sim.Time) {
-				prev(id, tag, start, end)
-				ring.push(FlightEvent{Tag: tag, Start: start, End: end})
-			}
-		}
-	}
-	sort.Ints(fr.order)
+	r := &CoreRing{host: host, core: core, buf: make([]FlightEvent, size)}
+	i := sort.Search(len(fr.rings), func(i int) bool {
+		o := fr.rings[i]
+		return o.host > host || o.host == host && o.core > core
+	})
+	fr.rings = append(fr.rings, nil)
+	copy(fr.rings[i+1:], fr.rings[i:])
+	fr.rings[i] = r
+	return r
 }
 
 // Trigger records an anomaly. The first MaxSnapshots triggers capture every
-// attached core's ring (cores iterated in sorted id order — deterministic);
-// later triggers only count.
+// ring (in ascending (host, core) order — deterministic); later triggers
+// only count.
 func (fr *FlightRecorder) Trigger(kind string, pkt, flow uint64, at sim.Time) {
 	if fr == nil {
 		return
@@ -155,8 +150,8 @@ func (fr *FlightRecorder) Trigger(kind string, pkt, flow uint64, at sim.Time) {
 		return
 	}
 	snap := Snapshot{Kind: kind, Pkt: pkt, Flow: flow, At: at}
-	for _, id := range fr.order {
-		snap.Cores = append(snap.Cores, CoreSnapshot{Core: id, Events: fr.rings[id].snapshot()})
+	for _, r := range fr.rings {
+		snap.Cores = append(snap.Cores, CoreSnapshot{Host: r.host, Core: r.core, Events: r.snapshot()})
 	}
 	fr.Snapshots = append(fr.Snapshots, snap)
 }
@@ -176,10 +171,11 @@ func (fr *FlightRecorder) TriggerKinds() []string {
 
 // ChromeEvents renders every snapshot as Perfetto slices: one process per
 // snapshot (pids from obs.PidFlight up, so they sit alongside the existing
-// per-core and per-flow tracks), one thread per captured core plus a
-// "trigger" thread carrying the anomaly instant, and a flow arrow ("s"/"f")
-// linking the trigger to the latest execution it interrupted. Deterministic:
-// snapshots are in trigger order and cores in sorted id order.
+// per-core and per-flow tracks), one thread per captured core (tids and
+// names as in obs.CoreTid/CoreName, shifted by one) plus a "trigger" thread
+// carrying the anomaly instant, and a flow arrow ("s"/"f") linking the
+// trigger to the latest execution it interrupted. Deterministic: snapshots
+// are in trigger order and cores in (host, core) order.
 func (fr *FlightRecorder) ChromeEvents() []obs.ChromeEvent {
 	if fr == nil {
 		return nil
@@ -206,46 +202,35 @@ func (fr *FlightRecorder) ChromeEvents() []obs.ChromeEvent {
 			Ts: usT(snap.At), Pid: pid, Tid: 0,
 		})
 		// The flow arrow lands on the latest execution captured across
-		// all cores (ties: lowest core id) — "what was running when it
-		// fired".
-		latestCore, latestIdx := -1, -1
-		var latestEnd sim.Time
+		// all cores (ties: the first in (host, core) order) — "what was
+		// running when it fired".
+		var latest FlightEvent
+		latestTid := int64(-1)
 		for _, cs := range snap.Cores {
-			tid := int64(cs.Core + 1)
+			tid := obs.CoreTid(cs.Host, cs.Core) + 1
 			out = append(out, obs.ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"name": fmt.Sprintf("core %d", cs.Core)},
+				Args: map[string]any{"name": obs.CoreName(cs.Host, cs.Core)},
 			})
-			for j, e := range cs.Events {
+			for _, e := range cs.Events {
 				out = append(out, obs.ChromeEvent{
 					Name: e.Tag, Cat: "flight", Ph: "X",
 					Ts: usT(e.Start), Dur: usT(e.End) - usT(e.Start),
 					Pid: pid, Tid: tid,
 				})
-				if e.End > latestEnd || latestCore < 0 {
-					latestCore, latestIdx, latestEnd = cs.Core, j, e.End
+				if e.End > latest.End || latestTid < 0 {
+					latest, latestTid = e, tid
 				}
 			}
 		}
-		if latestCore >= 0 {
-			e := fr.eventAt(snap, latestCore, latestIdx)
+		if latestTid >= 0 {
 			out = append(out, obs.ChromeEvent{
 				Name: "anomaly", Cat: "flight", Ph: "f", ID: i + 1, BP: "e",
-				Ts: usT(e.Start), Pid: pid, Tid: int64(latestCore + 1),
+				Ts: usT(latest.Start), Pid: pid, Tid: latestTid,
 			})
 		}
 	}
 	return out
-}
-
-// eventAt returns snapshot event idx of the given core.
-func (fr *FlightRecorder) eventAt(snap Snapshot, core, idx int) FlightEvent {
-	for _, cs := range snap.Cores {
-		if cs.Core == core {
-			return cs.Events[idx]
-		}
-	}
-	return FlightEvent{}
 }
 
 // Export writes the snapshots as a Chrome/Perfetto JSON trace.

@@ -15,8 +15,9 @@ func driveFlight(ringSize int) *FlightRecorder {
 	c0 := sim.NewCore(0, sched)
 	c1 := sim.NewCore(1, sched)
 	fr := &FlightRecorder{RingSize: ringSize, MaxSnapshots: 4}
-	fr.Attach(c0, c1)
-	fr.Attach(c0) // duplicate attach must be a no-op
+	// Rings are created out of order; snapshots still list cores sorted.
+	c1.ExecLog = fr.Ring(0, 1).Push
+	c0.ExecLog = fr.Ring(0, 0).Push
 	for i := 0; i < ringSize+3; i++ {
 		c0.Exec(10, "alloc")
 		c1.Exec(7, "vxlan")
@@ -57,7 +58,7 @@ func TestFlightSnapshotCapAndCounting(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	c := sim.NewCore(0, sched)
 	fr := &FlightRecorder{RingSize: 4, MaxSnapshots: 2}
-	fr.Attach(c)
+	c.ExecLog = fr.Ring(0, 0).Push
 	for i := 0; i < 5; i++ {
 		c.Exec(1, "x")
 		fr.Trigger("drop-ring", uint64(i), 1, c.FreeAt())
@@ -98,7 +99,7 @@ func TestFlightExportDeterministic(t *testing.T) {
 
 func TestNilFlightRecorderSafe(t *testing.T) {
 	var fr *FlightRecorder
-	fr.Attach()
+	fr.Ring(0, 0).Push("x", 0, 1)
 	fr.Trigger("x", 1, 1, 0)
 	if fr.TriggerKinds() != nil || fr.ChromeEvents() != nil {
 		t.Error("nil recorder returned non-nil state")

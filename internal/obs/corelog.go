@@ -7,16 +7,18 @@ import "mflow/internal/sim"
 const DefaultMaxIntervals = 1 << 20
 
 // Interval is one contiguous span of work charged to a core: the simulated
-// execution of one device/softirq cost on one CPU.
+// execution of one device/softirq cost on one CPU. Host and Core together
+// identify the CPU (every host numbers its cores from 0).
 type Interval struct {
+	Host       int
 	Core       int
 	Tag        string
 	Start, End sim.Time
 }
 
 // CoreLog collects per-core busy intervals from sim.Core execution, the raw
-// material for the Perfetto timeline's one-track-per-core view. Attach it to
-// a run's cores before traffic starts.
+// material for the Perfetto timeline's one-track-per-core view. It is a
+// plain sink: the run's probe wiring feeds it from each core's ExecLog.
 type CoreLog struct {
 	// MaxIntervals bounds memory (default DefaultMaxIntervals); further
 	// executions are counted in Skipped. A zero-value CoreLog is usable.
@@ -27,14 +29,11 @@ type CoreLog struct {
 	Skipped uint64
 }
 
-// Attach installs the log as each core's execution observer.
-func (l *CoreLog) Attach(cores ...*sim.Core) {
-	for _, c := range cores {
-		c.ExecLog = l.add
+// Add records one interval. A nil log ignores it.
+func (l *CoreLog) Add(iv Interval) {
+	if l == nil {
+		return
 	}
-}
-
-func (l *CoreLog) add(core int, tag string, start, end sim.Time) {
 	max := l.MaxIntervals
 	if max <= 0 {
 		max = DefaultMaxIntervals
@@ -43,5 +42,5 @@ func (l *CoreLog) add(core int, tag string, start, end sim.Time) {
 		l.Skipped++
 		return
 	}
-	l.Intervals = append(l.Intervals, Interval{Core: core, Tag: tag, Start: start, End: end})
+	l.Intervals = append(l.Intervals, iv)
 }

@@ -26,14 +26,14 @@ const (
 // (the "JSON Array Format" Perfetto and chrome://tracing both load).
 // Timestamps and durations are in microseconds, per the format.
 type ChromeEvent struct {
-	Name  string         `json:"name,omitempty"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int64          `json:"tid"`
-	Scope string         `json:"s,omitempty"`
+	Name  string  `json:"name,omitempty"`
+	Cat   string  `json:"cat,omitempty"`
+	Ph    string  `json:"ph"`
+	Ts    float64 `json:"ts"`
+	Dur   float64 `json:"dur,omitempty"`
+	Pid   int     `json:"pid"`
+	Tid   int64   `json:"tid"`
+	Scope string  `json:"s,omitempty"`
 	// ID links flow events ("s"/"t"/"f" phases) into one arrow; BP is the
 	// flow binding point ("e" binds to the enclosing slice).
 	ID   int            `json:"id,omitempty"`
@@ -65,23 +65,29 @@ func ChromeTraceEvents(events []trace.Event, log *CoreLog) []ChromeEvent {
 
 	if log != nil && len(log.Intervals) > 0 {
 		meta(PidCores, 0, "process_name", "cores")
-		cores := map[int]bool{}
+		type hostCore struct{ host, core int }
+		seen := map[hostCore]bool{}
+		var ids []hostCore
 		for _, iv := range log.Intervals {
-			cores[iv.Core] = true
+			if k := (hostCore{iv.Host, iv.Core}); !seen[k] {
+				seen[k] = true
+				ids = append(ids, k)
+			}
 		}
-		ids := make([]int, 0, len(cores))
-		for id := range cores {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			meta(PidCores, int64(id), "thread_name", fmt.Sprintf("core %d", id))
+		sort.Slice(ids, func(i, j int) bool {
+			if ids[i].host != ids[j].host {
+				return ids[i].host < ids[j].host
+			}
+			return ids[i].core < ids[j].core
+		})
+		for _, k := range ids {
+			meta(PidCores, CoreTid(k.host, k.core), "thread_name", CoreName(k.host, k.core))
 		}
 		for _, iv := range log.Intervals {
 			out = append(out, ChromeEvent{
 				Name: iv.Tag, Cat: "exec", Ph: "X",
 				Ts: us(int64(iv.Start)), Dur: us(int64(iv.End.Sub(iv.Start))),
-				Pid: PidCores, Tid: int64(iv.Core),
+				Pid: PidCores, Tid: CoreTid(iv.Host, iv.Core),
 			})
 		}
 	}
@@ -96,17 +102,32 @@ func ChromeTraceEvents(events []trace.Event, log *CoreLog) []ChromeEvent {
 			}
 		}
 		for _, e := range events {
+			args := map[string]any{"seq": e.Seq, "segs": e.Segs, "core": e.Core}
+			if e.Host != 0 {
+				args["host"] = e.Host
+			}
 			out = append(out, ChromeEvent{
 				Name: e.Stage, Cat: "packet", Ph: "i",
 				Ts: us(int64(e.At)), Pid: PidFlows, Tid: int64(e.FlowID),
-				Scope: "t",
-				Args: map[string]any{
-					"seq": e.Seq, "segs": e.Segs, "core": e.Core,
-				},
+				Scope: "t", Args: args,
 			})
 		}
 	}
 	return out
+}
+
+// CoreTid returns the Perfetto thread id of a core's track. Host 0 keeps the
+// single-host layout (tid = core id); each other host gets its own tid
+// range, so hosts that reuse core ids never share a track.
+func CoreTid(host, core int) int64 { return int64(host)<<16 | int64(core) }
+
+// CoreName returns the display name of a core's track: "core N" on host 0,
+// "hH core N" elsewhere (the same host prefix the metric registry uses).
+func CoreName(host, core int) string {
+	if host == 0 {
+		return fmt.Sprintf("core %d", core)
+	}
+	return fmt.Sprintf("h%d core %d", host, core)
 }
 
 // WriteChromeTrace writes an arbitrary event slice as a loadable
@@ -125,13 +146,5 @@ func WriteChromeTrace(w io.Writer, events []ChromeEvent) error {
 // trace-event JSON object loadable by Perfetto (ui.perfetto.dev) and
 // chrome://tracing.
 func ExportChromeTrace(w io.Writer, events []trace.Event, log *CoreLog) error {
-	t := chromeTrace{
-		TraceEvents:     ChromeTraceEvents(events, log),
-		DisplayTimeUnit: "ns",
-	}
-	if t.TraceEvents == nil {
-		t.TraceEvents = []ChromeEvent{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(t)
+	return WriteChromeTrace(w, ChromeTraceEvents(events, log))
 }

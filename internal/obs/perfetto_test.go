@@ -14,13 +14,13 @@ import (
 // (ph/ts/pid), per the acceptance criterion.
 func TestExportChromeTraceRoundTrip(t *testing.T) {
 	tr := trace.New()
-	tr.Record(1000, 0, 1, 0, 1, "nic", 1)
-	tr.Record(2500, 0, 1, 0, 1, "vxlan", 2)
-	tr.Record(3000, 0, 2, 0, 4, "gro", 1)
+	tr.Record(1000, 0, 1, 0, 1, "nic", 0, 1)
+	tr.Record(2500, 0, 1, 0, 1, "vxlan", 0, 2)
+	tr.Record(3000, 0, 2, 0, 4, "gro", 0, 1)
 
 	log := &CoreLog{}
-	log.add(1, "alloc", 500, 1500)
-	log.add(2, "vxlan", 1500, 4000)
+	log.Add(Interval{Core: 1, Tag: "alloc", Start: 500, End: 1500})
+	log.Add(Interval{Core: 2, Tag: "vxlan", Start: 1500, End: 4000})
 
 	var buf bytes.Buffer
 	if err := ExportChromeTrace(&buf, tr.Events(), log); err != nil {
@@ -93,13 +93,10 @@ func TestExportChromeTraceEmpty(t *testing.T) {
 	}
 }
 
-func TestCoreLogCapAndAttach(t *testing.T) {
+func TestCoreLogCap(t *testing.T) {
 	l := &CoreLog{MaxIntervals: 2}
-	sched := sim.NewScheduler(1)
-	core := sim.NewCore(3, sched)
-	l.Attach(core)
 	for i := 0; i < 5; i++ {
-		core.Exec(10, "work")
+		l.Add(Interval{Core: 3, Tag: "work", Start: sim.Time(10 * i), End: sim.Time(10*i + 10)})
 	}
 	if len(l.Intervals) != 2 || l.Skipped != 3 {
 		t.Errorf("cap failed: %d intervals, %d skipped", len(l.Intervals), l.Skipped)

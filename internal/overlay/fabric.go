@@ -6,6 +6,7 @@ import (
 	"mflow/internal/fabric"
 	"mflow/internal/netdev"
 	"mflow/internal/packet"
+	"mflow/internal/pcap"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/traffic"
@@ -28,7 +29,7 @@ type fabState struct {
 
 	// rxHost/txHost map a flow's wire identity to its placement; rxEdge is
 	// the flow's receive-side entry chain on its owner host (fault wrap →
-	// arrival sequencing → NIC ring).
+	// pcap capture → arrival sequencing → NIC ring).
 	rxHost map[uint64]int
 	txHost map[uint64]int
 	rxEdge map[uint64]traffic.Ingress
@@ -173,6 +174,12 @@ func runFabric(sc Scenario, pr Probes) *Result {
 		pool = &skb.Pool{}
 	}
 	var pktSeq uint64
+	// One capture stream for the whole run: every receiving host's NIC
+	// edge writes into it, so the file carries a single pcap header.
+	var capture *pcap.Writer
+	if sc.Capture != nil && sc.WireMode {
+		capture = pcap.NewWriter(sc.Capture)
+	}
 
 	fs := &fabState{
 		cfg:    fcfg,
@@ -199,10 +206,12 @@ func runFabric(sc Scenario, pr Probes) *Result {
 			hsc.Flows = 1 // TX-only host: keep one (idle) NIC queue
 		}
 		h := newHostShell(hsc, pr, hostOpts{
-			sched:  sched,
-			pool:   pool,
-			pktSeq: &pktSeq,
-			obsPfx: fmt.Sprintf("h%d:", i),
+			sched:   sched,
+			pool:    pool,
+			pktSeq:  &pktSeq,
+			capture: capture,
+			index:   i,
+			obsPfx:  fmt.Sprintf("h%d:", i),
 		})
 		h.ackExtra = fcfg.LinkLatency
 		fs.hosts = append(fs.hosts, h)
@@ -224,6 +233,11 @@ func runFabric(sc Scenario, pr Probes) *Result {
 		var edge traffic.Ingress = rh.nic
 		if sc.Proto == skb.UDP && sc.UDPClients > 1 {
 			edge = &arrivalSeq{n: rh.nic}
+		}
+		if rh.capture != nil {
+			// Inside the fault wrapper, as on one host: the capture sees
+			// corrupted bytes and never sees dropped frames.
+			edge = captureTap{rh.capture, sched, edge}
 		}
 		if rh.inj != nil && sc.Faults.WireActive() {
 			edge = rh.inj.Wrap(edge)

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bytes"
 	"testing"
 
 	"mflow/internal/causal"
@@ -8,6 +9,7 @@ import (
 	"mflow/internal/fault"
 	"mflow/internal/harness"
 	"mflow/internal/obs"
+	"mflow/internal/pcap"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
@@ -295,4 +297,96 @@ func FuzzFabric(f *testing.F) {
 			t.Fatalf("%d segments delivered out of order to TCP sockets", res.DeliveredOutOfOrder)
 		}
 	})
+}
+
+// TestFabricObservers runs a probed 2-host fabric with a CoreLog and
+// checks that every observer keeps the hosts apart: hosts number their
+// cores from 0, so only the (host, core) pair identifies a CPU. Every
+// flight snapshot must list every core of both hosts, and the CoreLog and
+// both Perfetto exports must give each (host, core) its own track.
+func TestFabricObservers(t *testing.T) {
+	sc := fabricScenario(steering.MFlow, skb.TCP, 2)
+	sc.Obs = nil
+	sc.CoreLog = &obs.CoreLog{}
+	fr := causal.NewFlightRecorder()
+	RunProbed(sc, Probes{Causal: causal.NewProfiler(), Flight: fr})
+
+	type hostCore struct{ host, core int }
+	d := sc.withDefaults()
+	perHost := d.AppCores + d.KernelCores
+	want := 2 * perHost
+	if len(fr.Snapshots) == 0 {
+		t.Fatalf("no flight snapshots (triggers: %v)", fr.Triggers)
+	}
+	for i, snap := range fr.Snapshots {
+		seen := map[hostCore]bool{}
+		for _, cs := range snap.Cores {
+			seen[hostCore{cs.Host, cs.Core}] = true
+		}
+		if len(snap.Cores) != want || len(seen) != want {
+			t.Errorf("snapshot %d (%s): %d cores, %d distinct; want all %d host cores",
+				i, snap.Kind, len(snap.Cores), len(seen), want)
+		}
+	}
+
+	logged := map[hostCore]bool{}
+	for _, iv := range sc.CoreLog.Intervals {
+		logged[hostCore{iv.Host, iv.Core}] = true
+	}
+	for _, h := range []int{0, 1} {
+		n := 0
+		for k := range logged {
+			if k.host == h {
+				n++
+			}
+		}
+		if n == 0 {
+			t.Errorf("CoreLog holds no intervals of host %d", h)
+		}
+	}
+
+	// Perfetto: one named thread per logged (host, core), no two sharing a
+	// tid or a name; the flight export likewise within each snapshot.
+	checkTracks := func(label string, events []obs.ChromeEvent, pid, wantThreads int) {
+		tids, names := map[int64]bool{}, map[string]bool{}
+		for _, e := range events {
+			if e.Ph != "M" || e.Name != "thread_name" || e.Pid != pid {
+				continue
+			}
+			name := e.Args["name"].(string)
+			if name == "trigger" {
+				continue
+			}
+			if tids[e.Tid] || names[name] {
+				t.Errorf("%s: track %q (tid %d) is not distinct", label, name, e.Tid)
+			}
+			tids[e.Tid], names[name] = true, true
+		}
+		if len(tids) != wantThreads {
+			t.Errorf("%s: %d core tracks, want %d", label, len(tids), wantThreads)
+		}
+	}
+	checkTracks("timeline", obs.ChromeTraceEvents(nil, sc.CoreLog), obs.PidCores, len(logged))
+	checkTracks("flight 0", fr.ChromeEvents(), obs.PidFlight, want)
+}
+
+// TestFabricCapture pins the fabric's pcap capture: a 2-host wire run
+// writes one stream (a single file header) that parses with the pcap
+// reader and holds one record per frame that reached a receiving NIC.
+func TestFabricCapture(t *testing.T) {
+	sc := fabricScenario(steering.MFlow, skb.TCP, 2)
+	sc.WireMode = true
+	var buf bytes.Buffer
+	sc.Capture = &buf
+	Run(sc)
+	pkts, err := pcap.Read(&buf)
+	if err != nil {
+		t.Fatalf("capture does not parse: %v", err)
+	}
+	// The registry's counters hold whole-run totals after the run.
+	snap := sc.Obs.Snapshot()
+	offered := uint64(snap["h0:nic_offered"].Value + snap["h1:nic_offered"].Value)
+	if offered == 0 || uint64(len(pkts)) != offered {
+		t.Errorf("capture holds %d frames, the NICs were offered %d", len(pkts), offered)
+	}
 }

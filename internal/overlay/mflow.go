@@ -99,7 +99,7 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 		for i := 0; i < m.SplitCores; i++ {
 			var branchHead *stage
 			if m.PipelinePairs {
-				rest := h.newStageT("mflow-rest", h.kcore(base+1+m.SplitCores+rot(i)), 0, cfg.BacklogWake)
+				rest := h.newStage("mflow-rest", h.kcore(base+1+m.SplitCores+rot(i)), 0, cfg.BacklogWake)
 				rest.pre = append(rest.pre, dev("gro", cfg.GROOverlay))
 				rest.gro = gro.New()
 				h.gros = append(h.gros, rest.gro)
@@ -107,14 +107,14 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 				rest.out = arrive
 				h.stages = append(h.stages, rest)
 
-				alloc := h.newStageT("mflow-alloc", h.kcore(base+1+rot(i)), 0, cfg.BacklogWake)
+				alloc := h.newStage("mflow-alloc", h.kcore(base+1+rot(i)), 0, cfg.BacklogWake)
 				alloc.pre = append(alloc.pre, dev("alloc", cfg.Alloc))
 				alloc.each = func(s *skb.SKB, c *sim.Core) { comp.Completed(c) }
 				alloc.out = rest.feed()
 				h.stages = append(h.stages, alloc)
 				branchHead = alloc
 			} else {
-				br := h.newStageT("mflow-branch", h.kcore(base+1+rot(i)), 0, cfg.BacklogWake)
+				br := h.newStage("mflow-branch", h.kcore(base+1+rot(i)), 0, cfg.BacklogWake)
 				br.pre = append(br.pre, dev("alloc", cfg.Alloc), dev("gro", cfg.GROOverlay))
 				br.gro = gro.New()
 				h.gros = append(h.gros, br.gro)
@@ -127,7 +127,7 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 			fp.split.Targets = append(fp.split.Targets, branchHead.worker)
 		}
 		// IRQ-splitting first half: locate and dispatch raw requests.
-		disp := h.newStageT("mflow-disp", h.kcore(base), 0, cfg.BacklogWake)
+		disp := h.newStage("mflow-disp", h.kcore(base), 0, cfg.BacklogWake)
 		disp.pre = append(disp.pre, dev("dispatch", netdev.Cost{PerSeg: cfg.IRQDispatch}))
 		fp.split.Core = disp.core()
 		disp.out = func(s *skb.SKB, _ sim.Time) { fp.split.Dispatch(s) }
@@ -139,13 +139,13 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 	// Flow-splitting only: the first softirq (alloc+GRO+outer) stays on
 	// core(base); branches run the post-skb chain.
 	for i := 0; i < m.SplitCores; i++ {
-		br := h.newStageT("mflow-branch", h.kcore(base+1+rot(i)), 0, cfg.BacklogWake)
+		br := h.newStage("mflow-branch", h.kcore(base+1+rot(i)), 0, cfg.BacklogWake)
 		br.post = h.overlayChainDevices(fp, false, false)
 		br.out = arrive
 		h.stages = append(h.stages, br)
 		fp.split.Targets = append(fp.split.Targets, br.worker)
 	}
-	s1 := h.newStageT("mflow-s1", h.kcore(base), 0, cfg.BacklogWake)
+	s1 := h.newStage("mflow-s1", h.kcore(base), 0, cfg.BacklogWake)
 	s1.pre = append(s1.pre, dev("alloc", cfg.Alloc), dev("gro", cfg.GROOverlay))
 	s1.gro = gro.New()
 	h.gros = append(h.gros, s1.gro)
@@ -214,7 +214,7 @@ func (h *host) buildMFlowUDP(f int, fp *flowPath) *stage {
 	} else {
 		// Early merge (ablation): branches run only VxLAN; merge right
 		// after it, then the rest of the path on one further core.
-		rest := h.newStageT("mflow-rest", h.kcore(base+1+m.SplitCores), udpBacklogCap, cfg.BacklogWake)
+		rest := h.newStage("mflow-rest", h.kcore(base+1+m.SplitCores), udpBacklogCap, cfg.BacklogWake)
 		rest.post = []*netdev.Device{
 			dev("bridge", cfg.Bridge),
 			dev("veth", cfg.Veth),
@@ -247,7 +247,7 @@ func (h *host) buildMFlowUDP(f int, fp *flowPath) *stage {
 		brCap = 256
 	}
 	for i := 0; i < m.SplitCores; i++ {
-		br := h.newStageT("mflow-branch", h.kcore(base+1+rot(i)), brCap, cfg.BacklogWake)
+		br := h.newStage("mflow-branch", h.kcore(base+1+rot(i)), brCap, cfg.BacklogWake)
 		br.post = splitDevs
 		br.out = arrive
 		h.stages = append(h.stages, br)
@@ -256,7 +256,7 @@ func (h *host) buildMFlowUDP(f int, fp *flowPath) *stage {
 
 	// First softirq: alloc + (failed) GRO lookup + outer IP/UDP, then the
 	// flow-splitting function in place of the stage transition.
-	s1 := h.newStageT("mflow-s1", h.kcore(base), udpBacklogCap, cfg.BacklogWake)
+	s1 := h.newStage("mflow-s1", h.kcore(base), udpBacklogCap, cfg.BacklogWake)
 	s1.pre = append(s1.pre,
 		dev("alloc", cfg.Alloc),
 		dev("gro", cfg.GROLookupUDP))

@@ -72,8 +72,7 @@ func newOvState(h *host, cfg overload.Config) *ovState {
 func (ov *ovState) Handle(any, sim.Time) { ov.tick() }
 
 // armOverload wires the manager into the fully built topology. Called after
-// armCausal so the pressure gates chain onto any fault-injection gates and
-// AQM/watchdog drops are visible to the probes.
+// armProbes so the pressure gates chain onto any fault-injection gates.
 func (h *host) armOverload() {
 	if h.ov == nil {
 		return
@@ -295,10 +294,7 @@ func (ov *ovState) watchdog(now sim.Time) {
 				}
 				s.QueuedAt = now
 				if !tgt.Enqueue(s) {
-					if p := ov.h.prof; p != nil {
-						p.Drop(s, now, "watchdog")
-					}
-					ov.h.retire(s)
+					ov.h.drop(s, "watchdog", "")
 					continue
 				}
 				ov.resteeredSKBs++

@@ -137,7 +137,8 @@ type Scenario struct {
 	// Perfetto/Chrome trace export (obs.ExportChromeTrace).
 	CoreLog *obs.CoreLog
 	// Capture, when set together with WireMode, streams every frame
-	// arriving at the NIC into a pcap capture written to this writer.
+	// arriving at a receiving NIC (every host's, on a fabric run) into one
+	// pcap capture written to this writer.
 	Capture io.Writer
 	// CopyThreads parallelizes the user-space delivery copy across this
 	// many application cores (the paper's stated future work for the

@@ -33,18 +33,9 @@ type stage struct {
 	// handoff is charged on this stage's core per emitted skb.
 	handoff sim.Duration
 
-	// tracer records each emitted skb (nil = disabled).
-	tracer *trace.Tracer
-
-	// Observability instrumentation, attached when the scenario carries a
-	// registry: latency accumulates stage_latency{stage} (time since NIC
-	// arrival, weighted per wire segment) for every emitted skb; gap
-	// records stage_gap{from,to} (queueing delay since the previous
-	// stage's emission) at poll time. obsOn gates the skb bookkeeping so
-	// unobserved runs pay nothing.
-	latency *metrics.Histogram
-	gap     func(from string, v int64)
-	obsOn   bool
+	// h is the owning host: its drop funnel closes and retires every skb
+	// this stage rejects.
+	h *host
 
 	out func(*skb.SKB, sim.Time)
 
@@ -52,26 +43,30 @@ type stage struct {
 	// closure-free path; the skb rides the event arg.
 	outH stageOutH
 
-	// pool recycles skbs this stage drops at its admission queue (nil =
-	// no pooling). release, when overload control is wired, returns a
-	// dropped skb's memory charge before the pool reuses it.
-	pool    *skb.Pool
-	release func(*skb.SKB)
-
 	// aqm, when overload control configures the CoDel AQM, applies the
 	// control law to each drained batch; aqmSojourn records every
 	// measured queue sojourn (shared across the run's managed stages).
 	aqm        *overload.CoDel
 	aqmSojourn *metrics.Histogram
 
-	// prof, when a run is probed, switches processing to the instrumented
-	// twin of process(); nil costs one branch per poll round. ringFed
-	// marks the stage whose queue is the NIC descriptor ring (its first
-	// wait is ring-wait, not softirq queueing); onDrop observes admission
-	// rejections (flight-recorder trigger).
-	prof    *causal.Profiler
+	// ringFed marks the stage whose queue is the NIC descriptor ring (a
+	// probed run classifies its first wait as ring-wait, not softirq
+	// queueing).
 	ringFed bool
-	onDrop  func(*skb.SKB)
+
+	// Observers, wired by host.armProbes (all nil/false in unprobed runs).
+	// tracer records each emitted skb. latency accumulates
+	// stage_latency{stage} (time since NIC arrival, weighted per wire
+	// segment) for every emitted skb; gap records stage_gap{from,to}
+	// (queueing delay since the previous stage's emission) at poll time;
+	// obsOn gates that skb bookkeeping. prof receives critical-path marks
+	// at every wait/exec boundary; nil costs one branch per device
+	// execution.
+	tracer  *trace.Tracer
+	latency *metrics.Histogram
+	gap     func(from string, v int64)
+	obsOn   bool
+	prof    *causal.Profiler
 }
 
 // stageOutH hands an emitted skb downstream at its completion instant.
@@ -84,40 +79,33 @@ func (h stageOutH) Handle(arg any, now sim.Time) {
 
 // newStage builds a stage on core. Cross-core feeders should leave wake as
 // the backlog wake delay; the NIC overrides it for ring-fed stages.
-func newStage(name string, coreC *sim.Core, sched *sim.Scheduler, cfg *CostModel, cap int, wake sim.Duration) *stage {
-	st := &stage{name: name, sched: sched}
+func (h *host) newStage(name string, coreC *sim.Core, cap int, wake sim.Duration) *stage {
+	st := &stage{name: name, sched: h.sched, h: h}
 	st.worker = &sim.Worker[*skb.SKB]{
 		Name:         "softirq",
 		Core:         coreC,
-		Sched:        sched,
+		Sched:        h.sched,
 		Budget:       sim.DefaultBudget,
 		Cap:          cap,
-		PollOverhead: cfg.PollOverhead,
+		PollOverhead: h.sc.Costs.PollOverhead,
 		WakeDelay:    wake,
 	}
 	st.worker.ProcessBatch = st.process
 	st.outH = stageOutH{st}
+	if h.inj != nil && h.sc.Faults.BacklogDrop > 0 {
+		// Backlog admission loss (netif_rx-style). The NIC-fed first
+		// stage swaps this for the ring gate in buildFlowRx.
+		st.worker.Gate = func(*skb.SKB) bool { return !h.inj.DropBacklog() }
+	}
 	return st
 }
 
 func (st *stage) core() *sim.Core { return st.worker.Core }
 
-// retire returns a dropped skb to the pool, first releasing its overload
-// memory charge when accounting is wired. Both hooks tolerate absence, so
-// bare stages (tests) and unpooled runs work unchanged.
-func (st *stage) retire(s *skb.SKB) {
-	if st.release != nil {
-		st.release(s)
-	}
-	st.pool.Put(s)
-}
-
 // aqmFilter applies the CoDel control law to a drained batch: each skb's
 // queue sojourn (dequeue minus QueuedAt) is measured, skbs the law discards
-// retire before any device work is charged, and survivors' sojourns are
-// recorded (the histogram is the delivered path's queueing delay). Called
-// identically at the top of process and processProfiled so the probed twin
-// stays in sync.
+// drop before any device work is charged, and survivors' sojourns are
+// recorded (the histogram is the delivered path's queueing delay).
 func (st *stage) aqmFilter(batch []*skb.SKB) []*skb.SKB {
 	now := st.sched.Now()
 	kept := batch[:0]
@@ -127,13 +115,7 @@ func (st *stage) aqmFilter(batch []*skb.SKB) []*skb.SKB {
 			sojourn = now.Sub(s.QueuedAt)
 		}
 		if st.aqm.Drop(sojourn, now) {
-			if p := st.prof; p != nil {
-				p.Drop(s, now, st.name)
-			}
-			if st.onDrop != nil {
-				st.onDrop(s)
-			}
-			st.retire(s)
+			st.h.drop(s, st.name, "drop-backlog")
 			continue
 		}
 		st.aqmSojourn.Record(int64(sojourn))
@@ -142,85 +124,17 @@ func (st *stage) aqmFilter(batch []*skb.SKB) []*skb.SKB {
 	return kept
 }
 
+// process is the stage's poll-round body: phase 1 charges the pre devices
+// per incoming skb, GRO coalesces, phase 2 charges the post devices and
+// handoff per resulting skb and chains the emissions. With a profiler
+// attached it also marks each skb's wait before its first execution here
+// and every service/handoff interval.
 func (st *stage) process(batch []*skb.SKB) {
-	if st.prof != nil {
-		st.processProfiled(batch)
-		return
-	}
-	if st.aqm != nil {
-		batch = st.aqmFilter(batch)
-	}
-	c := st.worker.Core
-	if st.obsOn {
-		now := st.sched.Now()
-		for _, s := range batch {
-			if s.LastStage != "" {
-				st.gap(s.LastStage, int64(now.Sub(s.LastStageAt)))
-			}
-		}
-	}
-	for _, s := range batch {
-		for _, d := range st.pre {
-			c.Exec(d.CostOf(s), d.Name)
-			d.Apply(s)
-		}
-		if st.each != nil {
-			st.each(s, c)
-		}
-	}
-	if st.gro != nil {
-		batch = st.gro.Coalesce(batch)
-	}
-	// The emission loop chains the batch into one scheduler run: emission
-	// instants are monotone within a poll round (the core executes FIFO),
-	// so one ScheduleRun replaces a heap insert per skb. Mirrored in
-	// processProfiled.
-	var head, tail *skb.SKB
-	var headAt sim.Time
-	runN := 0
-	for _, s := range batch {
-		end := st.sched.Now()
-		for _, d := range st.post {
-			_, end = c.Exec(d.CostOf(s), d.Name)
-			d.Apply(s)
-		}
-		if st.handoff > 0 {
-			_, end = c.Exec(st.handoff, "handoff")
-		}
-		if len(st.post) == 0 && st.handoff == 0 {
-			end = c.FreeAt()
-		}
-		st.tracer.Record(end, s.PktID, s.FlowID, s.Seq, s.Segs, st.name, c.ID)
-		st.latency.RecordN(int64(end.Sub(s.ArrivedAt)), uint64(s.Segs))
-		if st.obsOn {
-			s.LastStage, s.LastStageAt = st.name, end
-		}
-		if tail == nil {
-			head, headAt = s, end
-		} else {
-			tail.SetNextRun(s, end)
-		}
-		tail = s
-		runN++
-	}
-	if runN > 0 {
-		st.sched.ScheduleRun(st.outH, head, headAt, runN)
-	}
-}
-
-// processProfiled is process() with critical-path marks at every wait/exec
-// boundary. It is a separate body (rather than inline branches) so the
-// disabled path pays exactly one nil check per poll round; any behavioural
-// edit here must mirror process() — the probed-vs-unprobed fingerprint test
-// pins the two in sync.
-func (st *stage) processProfiled(batch []*skb.SKB) {
 	if st.aqm != nil {
 		batch = st.aqmFilter(batch)
 	}
 	c := st.worker.Core
 	p := st.prof
-	wd := st.worker.WakeDelay
-	groStage := st.gro != nil
 	if st.obsOn {
 		now := st.sched.Now()
 		for _, s := range batch {
@@ -233,11 +147,13 @@ func (st *stage) processProfiled(batch []*skb.SKB) {
 		first := true
 		for _, d := range st.pre {
 			start, end := c.Exec(d.CostOf(s), d.Name)
-			if first {
-				first = false
-				p.MarkWait(s, st.name, start, st.ringFed, groStage, wd)
+			if p != nil {
+				if first {
+					first = false
+					st.markWait(s, start)
+				}
+				p.Mark(s, causal.SegService, st.name, end)
 			}
-			p.Mark(s, causal.SegService, st.name, end)
 			d.Apply(s)
 		}
 		if st.each != nil {
@@ -252,7 +168,9 @@ func (st *stage) processProfiled(batch []*skb.SKB) {
 	if st.gro != nil {
 		batch = st.gro.Coalesce(batch)
 	}
-	// Emission-run chaining, kept in lockstep with process().
+	// The emission loop chains the batch into one scheduler run: emission
+	// instants are monotone within a poll round (the core executes FIFO),
+	// so one ScheduleRun replaces a heap insert per skb.
 	var head, tail *skb.SKB
 	var headAt sim.Time
 	runN := 0
@@ -262,30 +180,34 @@ func (st *stage) processProfiled(batch []*skb.SKB) {
 		for _, d := range st.post {
 			var start sim.Time
 			start, end = c.Exec(d.CostOf(s), d.Name)
-			if first {
-				first = false
-				p.MarkWait(s, st.name, start, st.ringFed, groStage, wd)
+			if p != nil {
+				if first {
+					first = false
+					st.markWait(s, start)
+				}
+				p.Mark(s, causal.SegService, st.name, end)
 			}
-			p.Mark(s, causal.SegService, st.name, end)
 			d.Apply(s)
 		}
 		if st.handoff > 0 {
 			var start sim.Time
 			start, end = c.Exec(st.handoff, "handoff")
-			if first {
-				first = false
-				p.MarkWait(s, st.name, start, st.ringFed, groStage, wd)
+			if p != nil {
+				if first {
+					st.markWait(s, start)
+				}
+				p.Mark(s, causal.SegHandoff, st.name, end)
 			}
-			p.Mark(s, causal.SegHandoff, st.name, end)
 		}
 		if len(st.post) == 0 && st.handoff == 0 {
 			end = c.FreeAt()
-			// No execution of its own in phase 2: everything up to the
-			// emission instant is wait (queue/gro-hold/ring classified by
-			// the same policy as a first exec would be).
-			p.MarkWait(s, st.name, end, st.ringFed, groStage, wd)
+			if p != nil {
+				// No execution of its own in phase 2: everything up to
+				// the emission instant is wait.
+				st.markWait(s, end)
+			}
 		}
-		st.tracer.Record(end, s.PktID, s.FlowID, s.Seq, s.Segs, st.name, c.ID)
+		st.tracer.Record(end, s.PktID, s.FlowID, s.Seq, s.Segs, st.name, c.Host, c.ID)
 		st.latency.RecordN(int64(end.Sub(s.ArrivedAt)), uint64(s.Segs))
 		if st.obsOn {
 			s.LastStage, s.LastStageAt = st.name, end
@@ -303,9 +225,15 @@ func (st *stage) processProfiled(batch []*skb.SKB) {
 	}
 }
 
+// markWait classifies the gap before the stage's first execution for s
+// (queue, gro-hold, ring-wait or wake handoff; see causal.MarkWait).
+func (st *stage) markWait(s *skb.SKB, start sim.Time) {
+	st.prof.MarkWait(s, st.name, start, st.ringFed, st.gro != nil, st.worker.WakeDelay)
+}
+
 // feed returns an enqueue function for wiring a previous stage's output
 // into this stage. Skbs rejected at the queue (cap or gate) are dead — no
-// retransmission below the socket layer — so they return to the pool here.
+// retransmission below the socket layer — so they drop here.
 func (st *stage) feed() func(*skb.SKB, sim.Time) {
 	return func(s *skb.SKB, _ sim.Time) {
 		if p := st.prof; p != nil && st.worker.Idle() {
@@ -313,13 +241,7 @@ func (st *stage) feed() func(*skb.SKB, sim.Time) {
 		}
 		s.QueuedAt = st.sched.Now()
 		if !st.worker.Enqueue(s) {
-			if p := st.prof; p != nil {
-				p.Drop(s, st.sched.Now(), st.name)
-			}
-			if st.onDrop != nil {
-				st.onDrop(s)
-			}
-			st.retire(s)
+			st.h.drop(s, st.name, "drop-backlog")
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 func BenchmarkStageEmitRun(b *testing.B) {
 	sched := sim.NewScheduler(1)
 	core := sim.NewCore(0, sched)
-	st := newStage("bench", core, sched, DefaultCosts(), 0, 0)
 	pool := &skb.Pool{}
-	st.pool = pool
+	h := &host{sc: Scenario{Costs: DefaultCosts()}, sched: sched, pool: pool}
+	st := h.newStage("bench", core, 0, 0)
 	st.out = func(s *skb.SKB, _ sim.Time) { pool.Put(s) }
 	feed := st.feed()
 

@@ -18,7 +18,7 @@ func stageFixture(t *testing.T) (*stage, *sim.Scheduler, *sim.Core, *[]*skb.SKB)
 	core := sim.NewCore(1, sched)
 	cfg := DefaultCosts()
 	cfg.PollOverhead = 0
-	st := newStage("t", core, sched, cfg, 0, 0)
+	st := (&host{sc: Scenario{Costs: cfg}, sched: sched}).newStage("t", core, 0, 0)
 	var out []*skb.SKB
 	st.out = func(s *skb.SKB, _ sim.Time) { out = append(out, s) }
 	return st, sched, core, &out

@@ -10,6 +10,7 @@ import (
 	"mflow/internal/gro"
 	"mflow/internal/netdev"
 	"mflow/internal/nic"
+	"mflow/internal/obs"
 	"mflow/internal/packet"
 	"mflow/internal/pcap"
 	"mflow/internal/proto"
@@ -167,19 +168,20 @@ func (e encapIngress) Deliver(s *skb.SKB) bool {
 	return e.inner.Deliver(s)
 }
 
-// captureTap streams every wire frame entering the NIC into the host's
-// pcap capture.
+// captureTap streams every wire frame entering a NIC into the run's pcap
+// capture.
 type captureTap struct {
-	h     *host
+	w     *pcap.Writer
+	sched *sim.Scheduler
 	inner traffic.Ingress
 }
 
 // Deliver implements traffic.Ingress.
-func (c *captureTap) Deliver(s *skb.SKB) bool {
+func (c captureTap) Deliver(s *skb.SKB) bool {
 	if s.Data != nil {
 		// Capture errors only mean the sink failed; the simulation
 		// proceeds regardless.
-		_ = c.h.capture.WritePacket(c.h.sched.Now(), s.Data)
+		_ = c.w.WritePacket(c.sched.Now(), s.Data)
 	}
 	return c.inner.Deliver(s)
 }
@@ -235,38 +237,17 @@ func (h *host) newClientCore() *sim.Core {
 	return c
 }
 
-// newStageT builds a stage and attaches the scenario tracer and, when the
-// scenario carries a registry, the per-stage latency/gap instrumentation.
-// Stages sharing a name (parallel branches, the same stage across flows)
-// share their histograms, so stage_latency{stage=X} aggregates all of X.
-func (h *host) newStageT(name string, coreC *sim.Core, cap int, wake sim.Duration) *stage {
-	st := newStage(name, coreC, h.sched, h.sc.Costs, cap, wake)
-	st.pool = h.pool
-	if h.ov != nil {
-		st.release = h.ov.acct.Release
-	}
-	st.tracer = h.sc.Tracer
-	if reg := h.sc.Obs; reg != nil {
-		st.obsOn = true
-		st.latency = reg.Histogram("stage_latency", "stage", name)
-		st.gap = reg.GapTo(name)
-	}
-	if h.inj != nil && h.sc.Faults.BacklogDrop > 0 {
-		// Backlog admission loss (netif_rx-style). The NIC-fed first
-		// stage swaps this for the ring gate in buildFlow.
-		st.worker.Gate = func(*skb.SKB) bool { return !h.inj.DropBacklog() }
-	}
-	return st
-}
-
 // hostOpts carries fabric-mode construction overrides; the zero value is
 // the single-host default (private clock, private pool, private PktID
-// sequence, unprefixed registry names).
+// sequence, private capture stream, host index 0, unprefixed registry
+// names).
 type hostOpts struct {
-	sched  *sim.Scheduler // non-nil: share an existing DES clock
-	pool   *skb.Pool      // non-nil: share one SKB pool across hosts
-	pktSeq *uint64        // non-nil: share one PktID sequence across NICs
-	obsPfx string
+	sched   *sim.Scheduler // non-nil: share an existing DES clock
+	pool    *skb.Pool      // non-nil: share one SKB pool across hosts
+	pktSeq  *uint64        // non-nil: share one PktID sequence across NICs
+	capture *pcap.Writer   // non-nil: share one pcap stream across hosts
+	index   int            // the host's fabric index (its cores' Host)
+	obsPfx  string
 }
 
 // buildHost constructs the complete topology for a scenario, attaching any
@@ -301,12 +282,15 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 	}
 	if sc.Overload.Enabled() {
 		// Built before the flows so stage construction can wire the memory
-		// account's release hook; the manager itself arms after armCausal.
+		// account's release hook; the manager itself arms after armProbes.
 		h.ov = newOvState(h, *sc.Overload)
 	}
 	cfg := sc.Costs
 	total := sc.AppCores + sc.KernelCores
 	h.cores = sim.NewCores(total, h.sched)
+	for _, c := range h.cores {
+		c.Host = opt.index
+	}
 	for _, c := range h.cores[sc.AppCores:] {
 		c.JitterAmp = cfg.JitterAmp
 		c.InterferenceProb = cfg.InterferenceProb
@@ -330,21 +314,17 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 	if opt.pktSeq != nil {
 		h.nic.PktSeq = opt.pktSeq
 	}
-	if sc.Capture != nil && sc.WireMode {
+	h.capture = opt.capture
+	if h.capture == nil && sc.Capture != nil && sc.WireMode {
 		h.capture = pcap.NewWriter(sc.Capture)
-	}
-
-	if sc.CoreLog != nil {
-		sc.CoreLog.Attach(h.cores...)
 	}
 	return h
 }
 
-// finish runs the post-flow wiring pass: recycle points, probes, overload
-// arming, and queue-depth registration. It must run after every flow the
-// host serves (or sends) has been built.
+// finish runs the post-flow wiring pass: recycle points, probes and
+// overload arming. It must run after every flow the host serves (or sends)
+// has been built.
 func (h *host) finish() {
-	sc := h.sc
 	// Wire the pool's recycle points now that the full topology exists:
 	// final user-space delivery, TCP duplicate/prune discards, GRO-absorbed
 	// segments, and splitting-queue rejections all return their skbs here.
@@ -367,30 +347,11 @@ func (h *host) finish() {
 		}
 	}
 
-	// Causal probes wire last: their hooks chain after the recycle points
-	// above (the profiler must close a record before the pool reuses the
-	// skb) and after each flow's tracing tap. The overload manager arms
-	// after them so its admission gates chain onto any fault gates and its
-	// drops are visible to the probes.
-	h.armCausal()
+	// Probes wire after the recycle points above: on a probed run the
+	// GRO-absorption, TCP-discard and split-queue hooks are replaced by ones
+	// that close the packet's record before retiring the skb.
+	h.armProbes()
 	h.armOverload()
-
-	// Register queue-depth probes once the full topology exists: the NIC
-	// descriptor rings, every softirq backlog (keyed by stage name and a
-	// build-order index so parallel branches stay distinguishable), and
-	// each flow's socket receive queue.
-	if sc.Obs != nil {
-		for q := 0; q < h.nic.Config().Queues; q++ {
-			q := q
-			sc.Obs.SampleQueue(fmt.Sprintf("%snic_ring%d", h.obsPfx, q), func() int { return h.nic.RingDepth(q) })
-		}
-		for i, st := range h.stages {
-			sc.Obs.SampleQueue(fmt.Sprintf("%sbacklog:%s#%d", h.obsPfx, st.name, i), st.worker.Len)
-		}
-		for i, fp := range h.flows {
-			sc.Obs.SampleQueue(fmt.Sprintf("%ssocket:flow%d", h.obsPfx, i+1), fp.sock.Worker().Len)
-		}
-	}
 }
 
 // buildFlow wires flow f's receive pipeline and its sender(s) on this one
@@ -436,25 +397,6 @@ func (h *host) buildFlowRx(f int, id uint64) *flowPath {
 		// outstanding limit already models.
 		fp.sock.Gate(func(*skb.SKB) bool { return !h.inj.DropSock() })
 	}
-	if tr, reg := sc.Tracer, sc.Obs; tr != nil || reg != nil {
-		app := h.acore(f)
-		// User-space delivery is the pipeline's final stage: record its
-		// latency-since-NIC-arrival per wire segment (so histogram counts
-		// line up with delivered segment counts) and the queueing gap
-		// from the last kernel stage.
-		sockLat := reg.Histogram("stage_latency", "stage", "socket")
-		sockGap := reg.GapTo("socket")
-		fp.sock.Tap = func(s *skb.SKB, at sim.Time) {
-			if tr != nil {
-				tr.Record(at, s.PktID, s.FlowID, s.Seq, s.Segs, "socket", app.ID)
-			}
-			sockLat.RecordN(int64(at.Sub(s.ArrivedAt)), uint64(s.Segs))
-			if s.LastStage != "" {
-				sockGap(s.LastStage, int64(at.Sub(s.LastStageAt)))
-			}
-		}
-	}
-
 	var first *stage
 	if sc.System == steering.MFlow {
 		first = h.buildMFlowFlow(f, fp)
@@ -468,7 +410,7 @@ func (h *host) buildFlowRx(f int, id uint64) *flowPath {
 	if h.inj != nil {
 		// The driver worker's queue is the NIC descriptor ring: its
 		// admission gate is the ring-drop point, not a backlog one (undo
-		// any backlog gate newStageT installed).
+		// any backlog gate newStage installed).
 		first.worker.Gate = nil
 		if sc.Faults.RingDrop > 0 {
 			first.worker.Gate = func(*skb.SKB) bool { return !h.inj.DropRing() }
@@ -508,7 +450,7 @@ func (h *host) buildFlowTx(f int, fp *flowPath, ingress traffic.Ingress) {
 			// Real bytes end to end; the builder also performs the
 			// encapsulation accounting.
 			if h.capture != nil {
-				ingress = &captureTap{h: h, inner: ingress}
+				ingress = captureTap{h.capture, h.sched, ingress}
 			}
 			ingress = newWireBuilder(wrapFault(ingress), fp.id, overlay)
 			fp.sock.Verify = wireVerify(fp)
@@ -609,7 +551,7 @@ func (h *host) tailFor(fp *flowPath, core *sim.Core) func(*skb.SKB, sim.Time) {
 			OOOQueueCost: h.sc.Costs.OOOQueue,
 			Deliver: func(s *skb.SKB) {
 				if !fp.sock.Enqueue(s) {
-					h.dropSock(fp, s)
+					h.drop(s, "socket", "drop-sock")
 				}
 			},
 		}
@@ -621,140 +563,142 @@ func (h *host) tailFor(fp *flowPath, core *sim.Core) func(*skb.SKB, sim.Time) {
 	fp.udpRx = &proto.UDPReceiver{
 		Deliver: func(s *skb.SKB) {
 			if !fp.sock.Enqueue(s) {
-				h.dropSock(fp, s)
+				h.drop(s, "socket", "drop-sock")
 			}
 		},
 	}
 	return func(s *skb.SKB, _ sim.Time) { fp.udpRx.Rx(s, core) }
 }
 
-// dropSock retires a skb rejected at the socket receive queue: the probes
-// observe the loss, then the skb returns to the pool.
-func (h *host) dropSock(fp *flowPath, s *skb.SKB) {
-	if p := h.prof; p != nil {
-		p.Drop(s, h.sched.Now(), "socket")
+// noteDrop is the probes' drop funnel: every skb leaving the stack at a
+// drop point closes its causal record at where and, when kind is set,
+// fires that flight-recorder trigger. Both probes tolerate absence.
+func (h *host) noteDrop(s *skb.SKB, where, kind string) {
+	now := h.sched.Now()
+	h.prof.Drop(s, now, where)
+	if kind != "" {
+		h.flight.Trigger(kind, s.PktID, s.FlowID, now)
 	}
-	if fr := h.flight; fr != nil {
-		fr.Trigger("drop-sock", s.PktID, fp.id, h.sched.Now())
-	}
+}
+
+// drop observes a drop the host owns, then retires the skb.
+func (h *host) drop(s *skb.SKB, where, kind string) {
+	h.noteDrop(s, where, kind)
 	h.retire(s)
 }
 
-// armCausal attaches the run's probes — the causal profiler and/or the
-// anomaly flight recorder — to the fully built topology. Every hook below is
-// a plain func field on the probed component: unprobed runs keep them nil
-// and pay nothing; probed runs only observe, never alter behaviour.
-func (h *host) armCausal() {
-	p, fr := h.prof, h.flight
-	if p == nil && fr == nil {
-		return
-	}
-	if fr != nil {
-		// Per-core execution rings chain onto any CoreLog already attached.
-		fr.Attach(h.cores...)
-	}
-	for _, st := range h.stages {
-		st.prof = p
-		if fr != nil {
-			st := st
-			st.onDrop = func(s *skb.SKB) {
-				fr.Trigger("drop-backlog", s.PktID, s.FlowID, h.sched.Now())
+// armProbes attaches every run observer to the fully built topology: the
+// tracer, the obs registry's stage/socket histograms and queue-depth
+// probes, the CoreLog, the causal profiler and the flight recorder. It is
+// the only place observers attach. Each hook is a plain func or field on
+// the observed component: unprobed runs leave them nil and pay nothing,
+// and probed runs only observe, never alter behaviour.
+func (h *host) armProbes() {
+	sc, p, fr := h.sc, h.prof, h.flight
+	tr, reg, clog := sc.Tracer, sc.Obs, sc.CoreLog
+	if clog != nil || fr != nil {
+		// One ExecLog per core feeds both the timeline and the core's
+		// flight ring.
+		for _, c := range h.cores {
+			host, id, ring := c.Host, c.ID, fr.Ring(c.Host, c.ID)
+			c.ExecLog = func(tag string, start, end sim.Time) {
+				clog.Add(obs.Interval{Host: host, Core: id, Tag: tag, Start: start, End: end})
+				ring.Push(tag, start, end)
 			}
 		}
 	}
-	h.nic.OnDrop = func(s *skb.SKB) {
-		if p != nil {
-			p.Drop(s, h.sched.Now(), "nic-ring")
-		}
-		if fr != nil {
-			fr.Trigger("drop-ring", s.PktID, s.FlowID, h.sched.Now())
+	// Stages sharing a name (parallel branches, the same stage across
+	// flows) share their histograms, so stage_latency{stage=X} aggregates
+	// all of X.
+	for _, st := range h.stages {
+		st.tracer, st.prof = tr, p
+		if reg != nil {
+			st.obsOn = true
+			st.latency = reg.Histogram("stage_latency", "stage", st.name)
+			st.gap = reg.GapTo(st.name)
 		}
 	}
-	for _, fp := range h.flows {
-		fp := fp
-		if p != nil {
-			// Userspace delivery is the terminal attribution point; the
-			// profiler closes the record after any tracing tap ran.
-			prevTap := fp.sock.Tap
+	if tr != nil || reg != nil || p != nil {
+		// User-space delivery is the pipeline's final stage: record its
+		// latency-since-NIC-arrival per wire segment (so histogram counts
+		// line up with delivered segment counts) and the queueing gap from
+		// the last kernel stage; the profiler closes the record last.
+		sockLat := reg.Histogram("stage_latency", "stage", "socket")
+		sockGap := reg.GapTo("socket")
+		for _, fp := range h.flows {
+			app := fp.sock.Worker().Core
 			fp.sock.Tap = func(s *skb.SKB, at sim.Time) {
-				if prevTap != nil {
-					prevTap(s, at)
+				tr.Record(at, s.PktID, s.FlowID, s.Seq, s.Segs, "socket", app.Host, app.ID)
+				sockLat.RecordN(int64(at.Sub(s.ArrivedAt)), uint64(s.Segs))
+				if s.LastStage != "" {
+					sockGap(s.LastStage, int64(at.Sub(s.LastStageAt)))
 				}
 				p.Complete(s, at)
 			}
-			for _, w := range fp.sock.Workers() {
-				w.ServeLog = func(s *skb.SKB, start, end sim.Time) {
-					p.MarkServe(s, start, end)
-				}
+		}
+	}
+	if reg != nil {
+		// Queue-depth probes: the NIC descriptor rings, every softirq
+		// backlog (keyed by stage name and a build-order index so parallel
+		// branches stay distinguishable), and each flow's socket receive
+		// queue.
+		for q := 0; q < h.nic.Config().Queues; q++ {
+			reg.SampleQueue(fmt.Sprintf("%snic_ring%d", h.obsPfx, q), func() int { return h.nic.RingDepth(q) })
+		}
+		for i, st := range h.stages {
+			reg.SampleQueue(fmt.Sprintf("%sbacklog:%s#%d", h.obsPfx, st.name, i), st.worker.Len)
+		}
+		for i, fp := range h.flows {
+			reg.SampleQueue(fmt.Sprintf("%ssocket:flow%d", h.obsPfx, i+1), fp.sock.Worker().Len)
+		}
+	}
+	if p == nil && fr == nil {
+		return
+	}
+	h.nic.OnDrop = func(s *skb.SKB) { h.noteDrop(s, "nic-ring", "drop-ring") }
+	for _, g := range h.gros {
+		g.Recycle = func(s *skb.SKB) {
+			p.Absorb(s)
+			h.retire(s)
+		}
+	}
+	for _, fp := range h.flows {
+		for _, w := range fp.sock.Workers() {
+			w.ServeLog = func(s *skb.SKB, start, end sim.Time) {
+				p.MarkServe(s, start, end)
 			}
 		}
 		if fp.reasm != nil {
-			if p != nil {
-				fp.reasm.OnDeliver = func(head *skb.SKB, blame uint64) {
-					p.MarkBlame(head, "reassembler", h.sched.Now(), blame)
-				}
+			fp.reasm.OnDeliver = func(head *skb.SKB, blame uint64) {
+				p.MarkBlame(head, "reassembler", h.sched.Now(), blame)
 			}
-			if fr != nil {
-				fp.reasm.OnHoleReleased = func(head *skb.SKB) {
-					fr.Trigger("gap-timeout", head.PktID, head.FlowID, h.sched.Now())
-				}
+			fp.reasm.OnHoleReleased = func(head *skb.SKB) {
+				fr.Trigger("gap-timeout", head.PktID, head.FlowID, h.sched.Now())
 			}
 		}
-		if fp.tcpRx != nil && p != nil {
+		if fp.tcpRx != nil {
 			fp.tcpRx.OnDeliverParked = func(parked, filler *skb.SKB) {
 				p.MarkBlame(parked, "tcp-ofo", h.sched.Now(), filler.PktID)
 			}
-			prevRecycle := fp.tcpRx.Recycle
-			fp.tcpRx.Recycle = func(s *skb.SKB) {
-				p.Drop(s, h.sched.Now(), "tcp-dup")
-				if prevRecycle != nil {
-					prevRecycle(s)
-				}
-			}
+			fp.tcpRx.Recycle = func(s *skb.SKB) { h.drop(s, "tcp-dup", "") }
 		}
 		if fp.split != nil {
-			if p != nil {
-				fp.split.OnIdleWake = p.NoteIdleWake
-			}
-			prevRecycle := fp.split.Recycle
-			fp.split.Recycle = func(s *skb.SKB) {
-				if p != nil {
-					p.Drop(s, h.sched.Now(), "split-queue")
+			fp.split.OnIdleWake = p.NoteIdleWake
+			fp.split.Recycle = func(s *skb.SKB) { h.drop(s, "split-queue", "drop-split") }
+		}
+		if verify := fp.sock.Verify; verify != nil {
+			fp.sock.Verify = func(s *skb.SKB) error {
+				err := verify(s)
+				if err != nil {
+					fr.Trigger("corruption", s.PktID, s.FlowID, h.sched.Now())
 				}
-				if fr != nil {
-					fr.Trigger("drop-split", s.PktID, s.FlowID, h.sched.Now())
-				}
-				if prevRecycle != nil {
-					prevRecycle(s)
-				}
+				return err
 			}
 		}
-		if fr != nil {
-			if prevVerify := fp.sock.Verify; prevVerify != nil {
-				fp.sock.Verify = func(s *skb.SKB) error {
-					err := prevVerify(s)
-					if err != nil {
-						fr.Trigger("corruption", s.PktID, s.FlowID, h.sched.Now())
-					}
-					return err
-				}
-			}
-			if fp.tcpTx != nil {
-				id := fp.id
-				fp.tcpTx.OnRTO = func() {
-					fr.Trigger("rto", 0, id, h.sched.Now())
-				}
-			}
-		}
-	}
-	if p != nil {
-		for _, g := range h.gros {
-			prevRecycle := g.Recycle
-			g.Recycle = func(s *skb.SKB) {
-				p.Absorb(s)
-				if prevRecycle != nil {
-					prevRecycle(s)
-				}
+		if fp.tcpTx != nil {
+			id := fp.id
+			fp.tcpTx.OnRTO = func() {
+				fr.Trigger("rto", 0, id, h.sched.Now())
 			}
 		}
 	}
@@ -929,7 +873,7 @@ func (h *host) buildPlannedFlow(f int, fp *flowPath) *stage {
 		if i > 0 && coreFor(i-1, plan.Groups[i-1]) != coreC {
 			wake = cfg.BacklogWake
 		}
-		st := h.newStageT(fmt.Sprintf("%s-g%d", sc.System, i), coreC, cap, wake)
+		st := h.newStage(fmt.Sprintf("%s-g%d", sc.System, i), coreC, cap, wake)
 		preGRO := false
 		for _, stg := range g.Stages {
 			h.addStageDevices(st, fp, stg, overlay)

@@ -15,6 +15,10 @@ type Core struct {
 	// ID is the core number (purely informational; core 0 conventionally
 	// runs the application/delivery thread as in the paper's figures).
 	ID int
+	// Host is the index of the simulated host the core belongs to (0 on
+	// single-host runs). Hosts number their cores from 0, so (Host, ID) is
+	// the core's run-wide identity.
+	Host int
 
 	// Speed scales all execution costs; 1.0 is nominal. A core with
 	// Speed 0.9 takes 1/0.9 times as long for the same work.
@@ -31,10 +35,10 @@ type Core struct {
 	InterferenceMean Duration
 
 	// ExecLog, when set, observes every execution interval charged to the
-	// core (after speed/jitter/interference adjustment) — the hook the
-	// observability layer's Perfetto exporter uses to reconstruct per-core
-	// busy timelines. Nil costs nothing on the hot path beyond one branch.
-	ExecLog func(coreID int, tag string, start, end Time)
+	// core (after speed/jitter/interference adjustment) — the feed of the
+	// per-core Perfetto timeline and the flight recorder's rings. Nil costs
+	// nothing on the hot path beyond one branch.
+	ExecLog func(tag string, start, end Time)
 
 	sched     *Scheduler
 	busyUntil Time
@@ -129,7 +133,7 @@ func (c *Core) Exec(d Duration, tag string) (start, end Time) {
 	c.tagVals[c.lastIdx] += adj
 	c.busyTotal += adj
 	if c.ExecLog != nil {
-		c.ExecLog(c.ID, tag, start, end)
+		c.ExecLog(tag, start, end)
 	}
 	return start, end
 }

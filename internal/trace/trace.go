@@ -27,8 +27,10 @@ type Event struct {
 	Seq    uint64
 	Segs   int
 	// Stage names the pipeline point ("nic", "alloc", "vxlan", "merge",
-	// "socket", ...); Core is the CPU it ran on (-1 if not applicable).
+	// "socket", ...); Core is the CPU it ran on (-1 if not applicable) and
+	// Host that CPU's host index (0 on single-host runs).
 	Stage string
+	Host  int
 	Core  int
 }
 
@@ -66,7 +68,7 @@ func (t *Tracer) cap() int {
 }
 
 // Record appends an event, subject to the tracer's filters and cap.
-func (t *Tracer) Record(at sim.Time, pkt, flowID, seq uint64, segs int, stage string, core int) {
+func (t *Tracer) Record(at sim.Time, pkt, flowID, seq uint64, segs int, stage string, host, core int) {
 	if t == nil {
 		return
 	}
@@ -81,7 +83,7 @@ func (t *Tracer) Record(at sim.Time, pkt, flowID, seq uint64, segs int, stage st
 		return
 	}
 	t.byFlow = nil
-	t.events = append(t.events, Event{At: at, Pkt: pkt, FlowID: flowID, Seq: seq, Segs: segs, Stage: stage, Core: core})
+	t.events = append(t.events, Event{At: at, Pkt: pkt, FlowID: flowID, Seq: seq, Segs: segs, Stage: stage, Host: host, Core: core})
 }
 
 // Events returns everything recorded, in recording order.

@@ -9,10 +9,10 @@ import (
 
 func TestTracerRecordAndJourney(t *testing.T) {
 	tr := New()
-	tr.Record(100, 0, 1, 0, 1, "nic", -1)
-	tr.Record(200, 0, 1, 0, 1, "alloc", 2)
-	tr.Record(150, 0, 1, 1, 1, "nic", -1)
-	tr.Record(300, 0, 1, 0, 1, "socket", 0)
+	tr.Record(100, 0, 1, 0, 1, "nic", 0, -1)
+	tr.Record(200, 0, 1, 0, 1, "alloc", 0, 2)
+	tr.Record(150, 0, 1, 1, 1, "nic", 0, -1)
+	tr.Record(300, 0, 1, 0, 1, "socket", 0, 0)
 
 	j := tr.Journey(1, 0)
 	if len(j) != 3 {
@@ -30,7 +30,7 @@ func TestTracerRecordAndJourney(t *testing.T) {
 
 func TestTracerMergedCoverage(t *testing.T) {
 	tr := New()
-	tr.Record(100, 0, 1, 0, 4, "gro", 1) // covers seqs 0-3
+	tr.Record(100, 0, 1, 0, 4, "gro", 0, 1) // covers seqs 0-3
 	if len(tr.Journey(1, 3)) != 1 {
 		t.Error("merged event should match covered seq")
 	}
@@ -43,9 +43,9 @@ func TestTracerFilters(t *testing.T) {
 	tr := New()
 	tr.OnlyFlow = 7
 	tr.OnlySeqBelow = 10
-	tr.Record(1, 0, 7, 5, 1, "a", 0)
-	tr.Record(2, 0, 8, 5, 1, "a", 0)  // wrong flow
-	tr.Record(3, 0, 7, 50, 1, "a", 0) // seq too high
+	tr.Record(1, 0, 7, 5, 1, "a", 0, 0)
+	tr.Record(2, 0, 8, 5, 1, "a", 0, 0)  // wrong flow
+	tr.Record(3, 0, 7, 50, 1, "a", 0, 0) // seq too high
 	if len(tr.Events()) != 1 {
 		t.Errorf("filters failed: %d events", len(tr.Events()))
 	}
@@ -54,7 +54,7 @@ func TestTracerFilters(t *testing.T) {
 func TestTracerCap(t *testing.T) {
 	tr := &Tracer{MaxEvents: 3}
 	for i := 0; i < 10; i++ {
-		tr.Record(1, 0, 1, uint64(i), 1, "x", 0)
+		tr.Record(1, 0, 1, uint64(i), 1, "x", 0, 0)
 	}
 	if len(tr.Events()) != 3 || tr.Skipped != 7 {
 		t.Errorf("cap failed: %d events, %d skipped", len(tr.Events()), tr.Skipped)
@@ -63,13 +63,13 @@ func TestTracerCap(t *testing.T) {
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Record(1, 0, 1, 1, 1, "x", 0) // must not panic
+	tr.Record(1, 0, 1, 1, 1, "x", 0, 0) // must not panic
 }
 
 func TestRenderAndOccupancy(t *testing.T) {
 	tr := New()
-	tr.Record(100, 0, 1, 0, 1, "nic", -1)
-	tr.Record(250, 0, 1, 0, 1, "vxlan", 3)
+	tr.Record(100, 0, 1, 0, 1, "nic", 0, -1)
+	tr.Record(250, 0, 1, 0, 1, "vxlan", 0, 3)
 	out := tr.RenderJourney(1, 0)
 	if !strings.Contains(out, "vxlan") || !strings.Contains(out, "+150ns") {
 		t.Errorf("render wrong:\n%s", out)
@@ -90,7 +90,7 @@ func TestRenderAndOccupancy(t *testing.T) {
 func TestZeroValueTracerUsable(t *testing.T) {
 	var tr Tracer
 	for i := 0; i < DefaultMaxEvents+5; i++ {
-		tr.Record(sim.Time(i), 0, 1, uint64(i), 1, "x", 0)
+		tr.Record(sim.Time(i), 0, 1, uint64(i), 1, "x", 0, 0)
 	}
 	if len(tr.Events()) != DefaultMaxEvents || tr.Skipped != 5 {
 		t.Errorf("zero-value cap: %d events, %d skipped", len(tr.Events()), tr.Skipped)
@@ -99,18 +99,18 @@ func TestZeroValueTracerUsable(t *testing.T) {
 
 func TestJourneyIndexInvalidatedByRecord(t *testing.T) {
 	tr := New()
-	tr.Record(100, 0, 1, 0, 1, "nic", -1)
+	tr.Record(100, 0, 1, 0, 1, "nic", 0, -1)
 	if len(tr.Journey(1, 0)) != 1 { // builds the memoized index
 		t.Fatal("first journey wrong")
 	}
-	tr.Record(200, 0, 1, 0, 1, "socket", 0) // must invalidate it
+	tr.Record(200, 0, 1, 0, 1, "socket", 0, 0) // must invalidate it
 	j := tr.Journey(1, 0)
 	if len(j) != 2 || j[1].Stage != "socket" {
 		t.Fatalf("stale index after Record: %+v", j)
 	}
 	// Out-of-order recording still yields time-ordered journeys, and
 	// repeated queries agree with each other.
-	tr.Record(50, 0, 1, 0, 1, "wire", -1)
+	tr.Record(50, 0, 1, 0, 1, "wire", 0, -1)
 	j = tr.Journey(1, 0)
 	if len(j) != 3 || j[0].Stage != "wire" {
 		t.Fatalf("index not re-sorted: %+v", j)
@@ -125,9 +125,9 @@ func TestJourneyIndexInvalidatedByRecord(t *testing.T) {
 
 func TestJourneySameInstantStableOrder(t *testing.T) {
 	tr := New()
-	tr.Record(100, 0, 1, 0, 1, "a", 0)
-	tr.Record(100, 0, 1, 0, 1, "b", 0)
-	tr.Record(100, 0, 1, 0, 1, "c", 0)
+	tr.Record(100, 0, 1, 0, 1, "a", 0, 0)
+	tr.Record(100, 0, 1, 0, 1, "b", 0, 0)
+	tr.Record(100, 0, 1, 0, 1, "c", 0, 0)
 	j := tr.Journey(1, 0)
 	if len(j) != 3 || j[0].Stage != "a" || j[1].Stage != "b" || j[2].Stage != "c" {
 		t.Errorf("same-instant events lost recording order: %+v", j)
@@ -142,12 +142,12 @@ func TestJourneySameInstantStableOrder(t *testing.T) {
 func TestJourneyPktNoPoolAliasing(t *testing.T) {
 	tr := New()
 	// First arrival: pkt 7 travels nic -> socket.
-	tr.Record(100, 7, 1, 0, 1, "nic", -1)
-	tr.Record(300, 7, 1, 0, 1, "socket", 0)
+	tr.Record(100, 7, 1, 0, 1, "nic", 0, -1)
+	tr.Record(300, 7, 1, 0, 1, "socket", 0, 0)
 	// Pool reuse: the same skb slot returns as a retransmission of the
 	// same (flow, seq), handed fresh pkt 9 at the NIC.
-	tr.Record(500, 9, 1, 0, 1, "nic", -1)
-	tr.Record(900, 9, 1, 0, 1, "socket", 0)
+	tr.Record(500, 9, 1, 0, 1, "nic", 0, -1)
+	tr.Record(900, 9, 1, 0, 1, "socket", 0, 0)
 
 	if n := len(tr.Journey(1, 0)); n != 4 {
 		t.Fatalf("coverage query conflates the arrivals into %d events (expected 4: the documented aliasing)", n)
