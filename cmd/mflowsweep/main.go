@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,12 +24,17 @@ import (
 	"mflow/internal/steering"
 )
 
-func parseInts(s string) ([]int, error) {
+// parsePositive parses a comma-separated list of positive integers; name is
+// the flag it came from, for the error.
+func parsePositive(name, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bad -%s: %v", name, err)
+		}
+		if v <= 0 {
+			return nil, fmt.Errorf("bad -%s: %d is not positive", name, v)
 		}
 		out = append(out, v)
 	}
@@ -36,33 +42,57 @@ func parseInts(s string) ([]int, error) {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its exit
+// status: 0 on success, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mflowsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		proto    = flag.String("proto", "tcp", "transport: tcp|udp")
-		size     = flag.Int("size", 65536, "message size in bytes")
-		batches  = flag.String("batches", "1,16,64,256,1024", "comma-separated batch sizes")
-		cores    = flag.String("cores", "1,2,3,4", "comma-separated splitting-core counts")
-		kcores   = flag.Int("kernel-cores", 10, "kernel core pool")
-		measure  = flag.Int("measure-ms", 12, "measured window (simulated ms)")
-		seed     = flag.Uint64("seed", 42, "simulation seed")
-		parallel = flag.Int("parallel", harness.DefaultWorkers(), "worker-pool width (1 = serial; output is identical either way)")
+		proto    = fs.String("proto", "tcp", "transport: tcp|udp")
+		size     = fs.Int("size", 65536, "message size in bytes")
+		batches  = fs.String("batches", "1,16,64,256,1024", "comma-separated batch sizes")
+		cores    = fs.String("cores", "1,2,3,4", "comma-separated splitting-core counts")
+		kcores   = fs.Int("kernel-cores", 10, "kernel core pool")
+		measure  = fs.Int("measure-ms", 12, "measured window (simulated ms)")
+		seed     = fs.Uint64("seed", 42, "simulation seed")
+		parallel = fs.Int("parallel", harness.DefaultWorkers(), "worker-pool width (1 = serial; output is identical either way)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mflowsweep:", err)
+		return 2
+	}
 
-	p := skb.TCP
-	if strings.EqualFold(*proto, "udp") {
+	var p skb.Proto
+	switch strings.ToLower(*proto) {
+	case "tcp":
+		p = skb.TCP
+	case "udp":
 		p = skb.UDP
+	default:
+		return fail(fmt.Errorf("unknown -proto %q (want tcp or udp)", *proto))
 	}
-	bs, err := parseInts(*batches)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"size", *size}, {"kernel-cores", *kcores}, {"measure-ms", *measure}, {"parallel", *parallel}} {
+		if f.v <= 0 {
+			return fail(fmt.Errorf("bad -%s: %d is not positive", f.name, f.v))
+		}
+	}
+	bs, err := parsePositive("batches", *batches)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bad -batches:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	cs, err := parseInts(*cores)
+	cs, err := parsePositive("cores", *cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bad -cores:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
 	// The grid fans out over the harness pool; results come back in
 	// submission order, so the CSV rows are identical at any -parallel.
 	type cell struct{ batch, cores int }
@@ -85,13 +115,14 @@ func main() {
 		})
 	})
 
-	fmt.Println("proto,msg_size,batch,split_cores,gbps,msg_per_sec,p50_us,p99_us,ooo_deliveries,merge_switches,gro_factor,drops")
+	fmt.Fprintln(stdout, "proto,msg_size,batch,split_cores,gbps,msg_per_sec,p50_us,p99_us,ooo_deliveries,merge_switches,gro_factor,drops")
 	for i, res := range results {
-		fmt.Printf("%s,%d,%d,%d,%.3f,%.0f,%.1f,%.1f,%d,%d,%.1f,%d\n",
+		fmt.Fprintf(stdout, "%s,%d,%d,%d,%.3f,%.0f,%.1f,%.1f,%d,%d,%.1f,%d\n",
 			p, *size, grid[i].batch, grid[i].cores,
 			res.Gbps, res.MsgPerSec,
 			float64(res.Latency.Median())/1000, float64(res.Latency.P99())/1000,
 			res.OOOSKBs, res.ReassemblySwitches, res.GROFactor,
 			res.DropsRing+res.DropsBacklog+res.DropsSock)
 	}
+	return 0
 }

@@ -5,31 +5,17 @@ import (
 	"testing"
 
 	"mflow/internal/fault"
-	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
 )
 
-// withCoalescingDisabled runs f with scheduler run coalescing (and the
-// inline delivery slot) switched off process-wide — the eager
-// one-event-per-entry reference behaviour, equivalent to MFLOW_NOCOALESCE.
-// Like withPoolDisabled it flips a global read by every run, so callers
-// must run serially.
-func withCoalescingDisabled(f func()) {
-	restore := sim.SetCoalescing(false)
-	defer restore()
-	f()
-}
-
-// TestRunCoalescedFingerprints pins the tentpole's central invariant: run
-// coalescing is timing-model-inert. Every steering system × protocol ×
-// chaos profile (including the fault-free one) must produce bit-identical
-// fingerprints — counters, CPU accounting, latency quantiles, the full obs
-// snapshot — with coalescing enabled and force-disabled.
+// TestRunCoalescedFingerprints pins the lanes' central invariant: lazy
+// lane emission (and the inline slot) is timing-model-inert. Every steering
+// system × protocol × chaos profile (including the fault-free one) must
+// produce bit-identical fingerprints — counters, CPU accounting, latency
+// quantiles, the full obs snapshot — on a lazy and on an eager scheduler.
 func TestRunCoalescedFingerprints(t *testing.T) {
-	if !sim.CoalescingEnabled() {
-		t.Skip("MFLOW_NOCOALESCE is set; the comparison needs the lazy side")
-	}
+	t.Parallel()
 	type cell struct {
 		sys     steering.System
 		proto   skb.Proto
@@ -66,31 +52,21 @@ func TestRunCoalescedFingerprints(t *testing.T) {
 		return sc
 	}
 
-	coalesced := make([]string, len(cells))
-	for i, c := range cells {
-		coalesced[i] = Run(mk(c)).Fingerprint()
-	}
-	eager := make([]string, len(cells))
-	withCoalescingDisabled(func() {
-		for i, c := range cells {
-			eager[i] = Run(mk(c)).Fingerprint()
-		}
-	})
-	for i, c := range cells {
-		if coalesced[i] != eager[i] {
+	for _, c := range cells {
+		coalesced := Run(mk(c)).Fingerprint()
+		eager := run(mk(c), Probes{}, true).Fingerprint()
+		if coalesced != eager {
 			t.Errorf("%s/%s/%q: coalesced run diverged from eager reference:\n--- coalesced ---\n%s\n--- eager ---\n%s",
-				c.sys, c.proto, c.profile, coalesced[i], eager[i])
+				c.sys, c.proto, c.profile, coalesced, eager)
 		}
 	}
 }
 
 // TestCoalescingTelemetry verifies a run's scheduler self-accounting is
-// populated and that coalescing actually reduces heap traffic on a real
-// pipeline — the quantitative claim the mflowbench telemetry line reports.
+// populated and that the lanes and the inline slot actually reduce heap
+// traffic on a real pipeline — the quantitative claim the mflowbench telemetry line reports.
 func TestCoalescingTelemetry(t *testing.T) {
-	if !sim.CoalescingEnabled() {
-		t.Skip("MFLOW_NOCOALESCE is set")
-	}
+	t.Parallel()
 	sc := determinismScenario(steering.MFlow, skb.TCP)
 	res := Run(sc)
 	st := res.Sched
@@ -98,23 +74,20 @@ func TestCoalescingTelemetry(t *testing.T) {
 		t.Fatalf("scheduler telemetry empty: %+v", st)
 	}
 	if st.Coalesced == 0 {
-		t.Errorf("no run entries coalesced on an MFLOW pipeline: %+v", st)
+		t.Errorf("no lane entries waited outside the heap on an MFLOW pipeline: %+v", st)
 	}
 	if st.Inlined == 0 {
 		t.Errorf("no events took the inline slot: %+v", st)
 	}
 
-	var eager sim.SchedStats
-	withCoalescingDisabled(func() {
-		eager = Run(determinismScenario(steering.MFlow, skb.TCP)).Sched
-	})
+	eager := run(determinismScenario(steering.MFlow, skb.TCP), Probes{}, true).Sched
 	if eager.Scheduled != st.Scheduled {
-		t.Fatalf("logical event counts differ: coalesced %d eager %d", st.Scheduled, eager.Scheduled)
+		t.Fatalf("logical event counts differ: lazy %d eager %d", st.Scheduled, eager.Scheduled)
 	}
 	if st.HeapOps() >= eager.HeapOps() {
-		t.Errorf("coalescing did not reduce heap ops: %d vs eager %d", st.HeapOps(), eager.HeapOps())
+		t.Errorf("lazy scheduling did not reduce heap ops: %d vs eager %d", st.HeapOps(), eager.HeapOps())
 	}
 	if st.PeakHeap > eager.PeakHeap {
-		t.Errorf("coalescing grew the peak heap: %d vs eager %d", st.PeakHeap, eager.PeakHeap)
+		t.Errorf("lazy scheduling grew the peak heap: %d vs eager %d", st.PeakHeap, eager.PeakHeap)
 	}
 }

@@ -165,10 +165,9 @@ func (fs *fabState) syncObs(sc Scenario) {
 // runFabric executes a multi-host scenario: N host shells on one shared
 // clock, flows placed across them by the fabric config, the TX side of
 // each flow wired through the VTEP/underlay chain into the RX host's NIC.
-func runFabric(sc Scenario, pr Probes) *Result {
+func runFabric(sc Scenario, pr Probes, sched *sim.Scheduler) *Result {
 	fcfg := sc.Fabric.WithDefaults()
 	n := fcfg.Hosts
-	sched := sim.NewScheduler(sc.Seed)
 	var pool *skb.Pool
 	if !disablePool {
 		pool = &skb.Pool{}

@@ -81,7 +81,7 @@ func TestPoolingDoesNotChangeFaultResults(t *testing.T) {
 func TestPoolRecyclesDuringRun(t *testing.T) {
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
 		sc := determinismScenario(steering.MFlow, proto).withDefaults()
-		h := buildHost(sc, Probes{})
+		h := buildHost(sc, Probes{}, hostOpts{})
 		h.run()
 		if h.pool == nil {
 			t.Fatalf("%s: host built without a pool", proto)

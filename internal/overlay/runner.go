@@ -22,11 +22,21 @@ func Run(sc Scenario) *Result {
 // RunProbed(sc, pr) and Run(sc) produce identical measured results (the
 // probed-vs-unprobed fingerprint test pins this).
 func RunProbed(sc Scenario, pr Probes) *Result {
+	return run(sc, pr, false)
+}
+
+// run executes a scenario on a fresh scheduler. eager selects the
+// scheduler's one-event-per-entry reference mode (sim.Scheduler.SetEager),
+// which the equivalence tests prove changes no result; it is an argument
+// rather than a Scenario field so it never enters a scenario's identity.
+func run(sc Scenario, pr Probes, eager bool) *Result {
 	sc = sc.withDefaults()
+	sched := sim.NewScheduler(sc.Seed)
+	sched.SetEager(eager)
 	if sc.Fabric.Enabled() {
-		return runFabric(sc, pr)
+		return runFabric(sc, pr, sched)
 	}
-	h := buildHost(sc, pr)
+	h := buildHost(sc, pr, hostOpts{sched: sched})
 	return runHosts(sc, h.sched, []*host{h}, nil)
 }
 

@@ -109,7 +109,7 @@ type Scenario struct {
 	// UDPClients is the number of client machines stressing each UDP
 	// flow (the paper uses three; default 3 for UDP).
 	UDPClients int
-	// Window is the TCP sender's outstanding-segment limit (default 512).
+	// Window is the TCP sender's outstanding-segment limit (default 2048).
 	Window int
 	// KernelCores / AppCores size the receiving host's core pools
 	// (defaults 6 and 1; the multi-flow experiments use 10 and 5).
@@ -347,7 +347,7 @@ type Result struct {
 	ReassemblyErr error
 
 	// Sched is the run's scheduler self-accounting (whole run, warmup
-	// included): how much heap traffic run coalescing and the inline slot
+	// included): how much heap traffic the lanes and the inline slot
 	// saved. Telemetry only — never fingerprinted or serialized into
 	// benchmark artifacts.
 	Sched sim.SchedStats

@@ -25,7 +25,7 @@ type Stack struct {
 func NewStack(sc Scenario) *Stack {
 	sc.NoTraffic = true
 	sc = sc.withDefaults()
-	st := &Stack{sc: sc, h: buildHost(sc, Probes{})}
+	st := &Stack{sc: sc, h: buildHost(sc, Probes{}, hostOpts{})}
 	st.seqs = make([]traffic.SeqAlloc, sc.Flows)
 	st.msgs = make([]uint64, sc.Flows)
 	return st

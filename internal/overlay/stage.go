@@ -39,9 +39,10 @@ type stage struct {
 
 	out func(*skb.SKB, sim.Time)
 
-	// outH schedules per-skb emissions through the scheduler's
-	// closure-free path; the skb rides the event arg.
-	outH stageOutH
+	// emits holds the poll round's emissions until their completion
+	// instants: they come from the stage's one core, so they never
+	// decrease and one lane carries them all.
+	emits *sim.Lane[*skb.SKB]
 
 	// aqm, when overload control configures the CoDel AQM, applies the
 	// control law to each drained batch; aqmSojourn records every
@@ -69,14 +70,6 @@ type stage struct {
 	prof    *causal.Profiler
 }
 
-// stageOutH hands an emitted skb downstream at its completion instant.
-type stageOutH struct{ st *stage }
-
-// Handle implements sim.Handler.
-func (h stageOutH) Handle(arg any, now sim.Time) {
-	h.st.out(arg.(*skb.SKB), now)
-}
-
 // newStage builds a stage on core. Cross-core feeders should leave wake as
 // the backlog wake delay; the NIC overrides it for ring-fed stages.
 func (h *host) newStage(name string, coreC *sim.Core, cap int, wake sim.Duration) *stage {
@@ -91,7 +84,7 @@ func (h *host) newStage(name string, coreC *sim.Core, cap int, wake sim.Duration
 		WakeDelay:    wake,
 	}
 	st.worker.ProcessBatch = st.process
-	st.outH = stageOutH{st}
+	st.emits = sim.NewLane(h.sched, st.emit)
 	if h.inj != nil && h.sc.Faults.BacklogDrop > 0 {
 		// Backlog admission loss (netif_rx-style). The NIC-fed first
 		// stage swaps this for the ring gate in buildFlowRx.
@@ -168,12 +161,6 @@ func (st *stage) process(batch []*skb.SKB) {
 	if st.gro != nil {
 		batch = st.gro.Coalesce(batch)
 	}
-	// The emission loop chains the batch into one scheduler run: emission
-	// instants are monotone within a poll round (the core executes FIFO),
-	// so one ScheduleRun replaces a heap insert per skb.
-	var head, tail *skb.SKB
-	var headAt sim.Time
-	runN := 0
 	for _, s := range batch {
 		end := st.sched.Now()
 		first := true
@@ -212,18 +199,12 @@ func (st *stage) process(batch []*skb.SKB) {
 		if st.obsOn {
 			s.LastStage, s.LastStageAt = st.name, end
 		}
-		if tail == nil {
-			head, headAt = s, end
-		} else {
-			tail.SetNextRun(s, end)
-		}
-		tail = s
-		runN++
-	}
-	if runN > 0 {
-		st.sched.ScheduleRun(st.outH, head, headAt, runN)
+		st.emits.At(end, s)
 	}
 }
+
+// emit hands an emitted skb downstream at its completion instant.
+func (st *stage) emit(s *skb.SKB, now sim.Time) { st.out(s, now) }
 
 // markWait classifies the gap before the stage's first execution for s
 // (queue, gro-hold, ring-wait or wake handoff; see causal.MarkWait).

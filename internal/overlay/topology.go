@@ -252,8 +252,8 @@ type hostOpts struct {
 
 // buildHost constructs the complete topology for a scenario, attaching any
 // probes after the topology is fully wired.
-func buildHost(sc Scenario, pr Probes) *host {
-	h := newHostShell(sc, pr, hostOpts{})
+func buildHost(sc Scenario, pr Probes, opt hostOpts) *host {
+	h := newHostShell(sc, pr, opt)
 	for f := 0; f < sc.Flows; f++ {
 		h.buildFlow(f)
 	}

@@ -154,22 +154,20 @@ func BenchmarkRandNorm(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleRun schedules and drains one 16-entry run per iteration:
-// a single heap insert for the head, each successor re-inserted lazily with
-// its pre-reserved seq when its predecessor fires. Pinned at 0 allocs/op by
-// the bench gate.
-func BenchmarkScheduleRun(b *testing.B) {
+// BenchmarkLaneAt feeds a lane 16 entries and drains it per iteration: the
+// head enters the pending set, and each successor enters when its
+// predecessor fires. Pinned at 0 allocs/op by the bench gate.
+func BenchmarkLaneAt(b *testing.B) {
 	s := NewScheduler(1)
 	h := &nopHandler{}
-	var links [16]runLink
+	l := NewLane(s, func(int, Time) { h.n++ })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := s.Now()
-		for j := 0; j < len(links)-1; j++ {
-			links[j].SetNextRun(&links[j+1], now.Add(Duration(j+1)))
+		for j := 0; j < 16; j++ {
+			l.At(now.Add(Duration(j)), j)
 		}
-		s.ScheduleRun(h, &links[0], now, len(links))
 		s.Run()
 	}
 }

@@ -6,14 +6,17 @@ import (
 
 // The differential fuzz harness drives the production scheduler and a naive
 // reference implementation through the same randomized op tape — interleaved
-// At/AtHandler/ScheduleRun/Stop/RunUntil issued both at the top level and
-// from inside firing handlers — and asserts identical callback order, fire
-// times, clock readings and pending counts. The reference materializes every
-// run entry eagerly as its own event in a flat list popped by linear minimum
-// scan: trivially correct, sharing no code with the heap, the inline slot or
-// lazy run emission.
+// AtHandler/Lane.At/Stop/RunUntil issued both at the top level and from
+// inside firing handlers — and asserts identical callback order, fire times,
+// clock readings and pending counts. The reference schedules every lane
+// entry as its own event in a flat list popped by linear minimum scan:
+// trivially correct, sharing no code with the heap, the inline slot or the
+// lanes.
 
-// fuzzEntry is one (id, at) run entry handed to either scheduler.
+// fuzzLanes is the number of lanes the tape feeds.
+const fuzzLanes = 2
+
+// fuzzEntry is one (id, at) lane entry handed to either scheduler.
 type fuzzEntry struct {
 	id int
 	at Time
@@ -23,7 +26,7 @@ type fuzzEntry struct {
 type fuzzSched interface {
 	now() Time
 	at(t Time, id int)
-	scheduleRun(entries []fuzzEntry)
+	laneAt(lane int, entries []fuzzEntry)
 	runUntil(t Time) Time
 	stop()
 	pending() int
@@ -47,6 +50,25 @@ type fuzzDriver struct {
 	clocks   []Time
 	pendings []int
 	nextID   int
+	laneLast [fuzzLanes]Time // each lane's latest entry time
+}
+
+// laneEntries builds k entries for a lane starting no earlier than its
+// previous entry or the current instant, spaced by gap(i) — lanes only
+// accept non-decreasing times.
+func (d *fuzzDriver) laneEntries(lane, k int, gap func(i int) Duration) []fuzzEntry {
+	at := d.s.now()
+	if last := d.laneLast[lane]; last > at {
+		at = last
+	}
+	ents := make([]fuzzEntry, k)
+	for i := range ents {
+		at = at.Add(gap(i))
+		d.nextID++
+		ents[i] = fuzzEntry{id: d.nextID, at: at}
+	}
+	d.laneLast[lane] = at
+	return ents
 }
 
 // fire records a dispatch and possibly issues a nested op derived from the
@@ -62,15 +84,10 @@ func (d *fuzzDriver) fire(id int, now Time) {
 		d.nextID++
 		d.s.at(now.Add(Duration(b%16)), d.nextID)
 	case 1:
-		k := 2 + int(b%3)
-		ents := make([]fuzzEntry, k)
-		at := now
-		for i := range ents {
-			at = at.Add(Duration((int(b) + i) % 5))
-			d.nextID++
-			ents[i] = fuzzEntry{id: d.nextID, at: at}
-		}
-		d.s.scheduleRun(ents)
+		lane := int(b/8) % fuzzLanes
+		d.s.laneAt(lane, d.laneEntries(lane, 2+int(b%3), func(i int) Duration {
+			return Duration((int(b) + i) % 5)
+		}))
 	case 2:
 		d.s.stop()
 	}
@@ -93,15 +110,11 @@ func (d *fuzzDriver) run() {
 			d.nextID++
 			d.s.at(d.s.now().Add(Duration(next()%32)), d.nextID)
 		case 1:
-			k := 1 + int(next()%8)
-			at := d.s.now().Add(Duration(next() % 8))
-			ents := make([]fuzzEntry, k)
-			for i := range ents {
-				d.nextID++
-				ents[i] = fuzzEntry{id: d.nextID, at: at}
-				at = at.Add(Duration(next() % 8))
-			}
-			d.s.scheduleRun(ents)
+			b := next()
+			lane := int(b/8) % fuzzLanes
+			d.s.laneAt(lane, d.laneEntries(lane, 1+int(b%8), func(int) Duration {
+				return Duration(next() % 8)
+			}))
 		case 2:
 			d.clocks = append(d.clocks, d.s.runUntil(d.s.now().Add(Duration(next()%64))))
 			d.pendings = append(d.pendings, d.s.pending())
@@ -116,25 +129,26 @@ func (d *fuzzDriver) run() {
 	d.pendings = append(d.pendings, d.s.pending())
 }
 
-// realSched adapts the production Scheduler (heap + inline slot + lazy runs)
+// realSched adapts the production Scheduler (heap + inline slot + lanes)
 // to the fuzz surface.
 type realSched struct {
-	s *Scheduler
-	d *fuzzDriver
+	s     *Scheduler
+	d     *fuzzDriver
+	lanes [fuzzLanes]*Lane[int]
 }
 
-// realFireH dispatches both single events (arg int) and run entries
-// (arg *runLink) into the driver.
+func newRealSched(d *fuzzDriver, eager bool) *realSched {
+	r := &realSched{s: newSched(eager), d: d}
+	for i := range r.lanes {
+		r.lanes[i] = NewLane(r.s, d.fire)
+	}
+	return r
+}
+
+// realFireH dispatches single events (arg int) into the driver.
 type realFireH struct{ r *realSched }
 
-func (h realFireH) Handle(arg any, now Time) {
-	switch v := arg.(type) {
-	case int:
-		h.r.d.fire(v, now)
-	case *runLink:
-		h.r.d.fire(v.id, now)
-	}
-}
+func (h realFireH) Handle(arg any, now Time) { h.r.d.fire(arg.(int), now) }
 
 func (r *realSched) now() Time            { return r.s.Now() }
 func (r *realSched) at(t Time, id int)    { r.s.AtHandler(t, realFireH{r}, id) }
@@ -142,19 +156,10 @@ func (r *realSched) runUntil(t Time) Time { return r.s.RunUntil(t) }
 func (r *realSched) stop()                { r.s.Stop() }
 func (r *realSched) pending() int         { return r.s.Pending() }
 
-func (r *realSched) scheduleRun(entries []fuzzEntry) {
-	var head, tail *runLink
-	var headAt Time
+func (r *realSched) laneAt(lane int, entries []fuzzEntry) {
 	for _, e := range entries {
-		l := &runLink{id: e.id}
-		if tail == nil {
-			head, headAt = l, e.at
-		} else {
-			tail.SetNextRun(l, e.at)
-		}
-		tail = l
+		r.lanes[lane].At(e.at, e.id)
 	}
-	r.s.ScheduleRun(realFireH{r}, head, headAt, len(entries))
 }
 
 // refSched is the naive reference: a flat event list, one event per entry,
@@ -179,7 +184,7 @@ func (r *refSched) at(t Time, id int) {
 	r.seqs = append(r.seqs, r.seq)
 }
 
-func (r *refSched) scheduleRun(entries []fuzzEntry) {
+func (r *refSched) laneAt(_ int, entries []fuzzEntry) {
 	for _, e := range entries {
 		r.at(e.at, e.id)
 	}
@@ -214,8 +219,8 @@ func (r *refSched) runUntil(until Time) Time {
 	return r.clock
 }
 
-// FuzzSchedulerRuns differentially fuzzes run-coalesced scheduling against
-// the naive reference.
+// FuzzSchedulerRuns differentially fuzzes lane emission, on lazy and eager
+// schedulers, against the naive reference.
 func FuzzSchedulerRuns(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 5})
@@ -229,37 +234,37 @@ func FuzzSchedulerRuns(f *testing.F) {
 		ref.s = fs
 		ref.run()
 
-		for _, on := range []bool{true, false} {
-			withCoalescing(on, func() { fuzzOne(t, data, ref, on) })
+		for _, eager := range []bool{false, true} {
+			fuzzOne(t, data, ref, eager)
 		}
 	})
 }
 
-// fuzzOne runs the tape on the production scheduler in the current
-// coalescing mode, compares it with the reference's observations, then
-// drains it completely and checks that every slab slot came back.
-func fuzzOne(t *testing.T, data []byte, ref *fuzzDriver, on bool) {
+// fuzzOne runs the tape on the production scheduler in the given mode,
+// compares it with the reference's observations, then drains it completely
+// and checks that every slab slot came back.
+func fuzzOne(t *testing.T, data []byte, ref *fuzzDriver, eager bool) {
 	real := &fuzzDriver{data: data}
-	rs := &realSched{s: NewScheduler(1), d: real}
+	rs := newRealSched(real, eager)
 	real.s = rs
 	real.run()
 
 	if len(real.log) != len(ref.log) {
-		t.Fatalf("coalescing=%v: dispatch counts differ: real %d ref %d", on, len(real.log), len(ref.log))
+		t.Fatalf("eager=%v: dispatch counts differ: real %d ref %d", eager, len(real.log), len(ref.log))
 	}
 	for i := range real.log {
 		if real.log[i] != ref.log[i] {
-			t.Fatalf("coalescing=%v: dispatch %d differs: real %+v ref %+v", on, i, real.log[i], ref.log[i])
+			t.Fatalf("eager=%v: dispatch %d differs: real %+v ref %+v", eager, i, real.log[i], ref.log[i])
 		}
 	}
 	for i := range real.clocks {
 		if real.clocks[i] != ref.clocks[i] {
-			t.Fatalf("coalescing=%v: clock %d differs: real %d ref %d", on, i, real.clocks[i], ref.clocks[i])
+			t.Fatalf("eager=%v: clock %d differs: real %d ref %d", eager, i, real.clocks[i], ref.clocks[i])
 		}
 	}
 	for i := range real.pendings {
 		if real.pendings[i] != ref.pendings[i] {
-			t.Fatalf("coalescing=%v: pending %d differs: real %d ref %d", on, i, real.pendings[i], ref.pendings[i])
+			t.Fatalf("eager=%v: pending %d differs: real %d ref %d", eager, i, real.pendings[i], ref.pendings[i])
 		}
 	}
 
@@ -269,6 +274,6 @@ func fuzzOne(t *testing.T, data []byte, ref *fuzzDriver, on bool) {
 		rs.s.Run()
 	}
 	if leak := slabLeak(rs.s); leak != "" {
-		t.Fatalf("coalescing=%v: %s", on, leak)
+		t.Fatalf("eager=%v: %s", eager, leak)
 	}
 }

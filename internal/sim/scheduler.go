@@ -1,7 +1,5 @@
 package sim
 
-import "os"
-
 // Handler is a pre-allocated callback target for the scheduler's
 // closure-free fast path. Hot paths that schedule one event per packet
 // (softirq polls, per-skb stage handoffs, sender completions) keep a
@@ -14,71 +12,27 @@ type Handler interface {
 	Handle(arg any, now Time)
 }
 
-// RunLink is the intrusive chain a ScheduleRun emission rides: each entry
-// knows its successor and the successor's fire time, so a whole poll batch
-// of deliveries is one linked list threaded through the items themselves —
-// no slice, no allocation. Implementations (skb.SKB, txpath's GSO unit)
-// embed the two words directly.
-//
-// The scheduler consumes a link exactly once, when the entry that carries
-// it fires: it reads the successor, then clears the link *before* invoking
-// the entry's handler. By the time user code (delivery, pool Put, a new
-// emission loop) can touch the item again its link is therefore always
-// empty, which is what makes chaining pooled objects safe.
-type RunLink interface {
-	// NextRun returns the next entry in the run and its fire time, or
-	// (nil, 0) at the end of the chain. The returned interface must be
-	// untyped nil at chain end, never a typed-nil pointer.
-	NextRun() (RunLink, Time)
-	// SetNextRun links next (firing at) after this entry; SetNextRun(nil, 0)
-	// clears the link.
-	SetNextRun(next RunLink, at Time)
-}
-
-// disableCoalesce force-disables run coalescing and inline-slot delivery
-// (every entry is inserted into the heap eagerly, one event apiece — the
-// naive reference behaviour). Settable via the MFLOW_NOCOALESCE environment
-// variable, mirroring MFLOW_NOPOOL: the fingerprint equivalence tests flip
-// it to prove coalescing is timing-model-inert.
-var disableCoalesce = os.Getenv("MFLOW_NOCOALESCE") != ""
-
-// SetCoalescing enables or disables run coalescing process-wide and returns
-// a restore function. Test-only: the flag is read by every scheduler in the
-// process, so flip it only around serially-executed runs.
-func SetCoalescing(on bool) (restore func()) {
-	prev := disableCoalesce
-	disableCoalesce = !on
-	return func() { disableCoalesce = prev }
-}
-
-// CoalescingEnabled reports whether run coalescing is active.
-func CoalescingEnabled() bool { return !disableCoalesce }
-
 // event is one pending entry in the heap (or the inline slot): its (at, seq)
 // ordering key plus ref, the index of its dispatch payload in the
-// scheduler's refs slab. It holds no pointers, so the 24-byte records the
-// heap sifts tens of millions of times per figure sweep are never scanned by
-// the garbage collector and their copies take no write barriers.
+// scheduler's refs slab — or, with laneRef set, of the lane whose head it
+// is. It holds no pointers, so the 24-byte records the heap sifts tens of
+// millions of times per figure sweep are never scanned by the garbage
+// collector and their copies take no write barriers.
 type event struct {
 	at  Time
 	seq uint64 // tiebreaker: FIFO among events scheduled for the same instant
-	ref uint32 // index into Scheduler.refs
+	ref uint32 // index into Scheduler.refs, or laneRef|index into Scheduler.lanes
 }
+
+// laneRef marks an event ref that names a lane rather than a slab entry.
+const laneRef = 1 << 31
 
 // evRef is an event's dispatch payload, kept out of the heap in the
 // scheduler's slab. Closures scheduled through At ride the same shape via
 // closureH (the func value travels in arg).
-//
-// An entry with runEnd > seq of its event is the materialized head of a
-// lazily-emitted run (see ScheduleRun): arg implements RunLink, seqs
-// seq..runEnd were reserved for the run when it was scheduled, and firing
-// the event re-materializes the successor entry with seq+1 before the
-// handler runs. The successor reuses the same slab entry, so a whole run
-// occupies one ref from head to tail.
 type evRef struct {
-	h      Handler
-	arg    any
-	runEnd uint64 // last reserved seq of this entry's run (0 / <= seq: not a run)
+	h   Handler
+	arg any
 }
 
 // closureH adapts At's closure path onto the handler dispatch: the func
@@ -97,15 +51,16 @@ func (e *event) before(o *event) bool {
 }
 
 // SchedStats are the scheduler's self-accounting counters: how many logical
-// events it accepted, how much heap traffic coalescing and the inline slot
+// events it accepted, how much heap traffic the lanes and the inline slot
 // saved, and how deep the heap got. Telemetry only — the counters never
 // feed back into event ordering, timing, or any fingerprinted observable.
 type SchedStats struct {
-	// Scheduled counts logical events accepted (At/AtHandler calls plus
-	// every entry of every run).
+	// Scheduled counts logical events accepted (At/AtHandler and
+	// Lane.At calls).
 	Scheduled uint64
-	// Coalesced counts run entries whose heap insert was deferred to fire
-	// time (the k-1 tail entries of each lazily-emitted run).
+	// Coalesced counts lane entries that waited outside the heap: queued
+	// behind their lane's head, they entered the pending set only when
+	// their predecessor fired.
 	Coalesced uint64
 	// Inlined counts events dispatched from the inline slot, bypassing the
 	// heap entirely.
@@ -160,6 +115,10 @@ type Scheduler struct {
 	refs []evRef
 	free []uint32
 
+	// lanes are the scheduler's lanes, indexed by their events' refs: a
+	// lane's events need no slab entry, since the lane holds the payload.
+	lanes []firer
+
 	// slot is the inline fast path: it may hold at most one event, and
 	// only one that fires before everything in the heap (checked at
 	// placement; dispatch re-checks against the then-current heap head, so
@@ -167,9 +126,13 @@ type Scheduler struct {
 	slot     event
 	slotFull bool
 
-	// deferred counts run entries reserved but not yet materialized, so
+	// deferred counts lane entries queued behind their lane's head, so
 	// Pending stays exact under lazy emission.
 	deferred int
+
+	// eager makes every lane entry its own heap event and disables the
+	// inline slot: the one-event-per-entry reference behaviour.
+	eager bool
 
 	stats SchedStats
 
@@ -181,6 +144,17 @@ type Scheduler struct {
 // source derived from seed.
 func NewScheduler(seed uint64) *Scheduler {
 	return &Scheduler{Rand: NewRand(seed)}
+}
+
+// SetEager switches the scheduler to the eager reference behaviour: every
+// Lane.At puts its own heap event and the inline slot is never used.
+// Dispatch order, fire times and Pending are identical either way; only the
+// heap traffic differs. It must be called before anything is scheduled.
+func (s *Scheduler) SetEager(on bool) {
+	if s.stats.Scheduled > 0 {
+		panic("sim: SetEager after events were scheduled")
+	}
+	s.eager = on
 }
 
 // Now returns the current simulated time.
@@ -208,7 +182,7 @@ func (s *Scheduler) At(t Time, fn func()) {
 	}
 	s.seq++
 	s.stats.Scheduled++
-	e := event{at: t, seq: s.seq, ref: s.newRef(closureH{}, fn, 0)}
+	e := event{at: t, seq: s.seq, ref: s.newRef(closureH{}, fn)}
 	if !s.trySlot(&e) {
 		s.push(e)
 	}
@@ -229,7 +203,7 @@ func (s *Scheduler) AtHandler(t Time, h Handler, arg any) {
 	}
 	s.seq++
 	s.stats.Scheduled++
-	e := event{at: t, seq: s.seq, ref: s.newRef(h, arg, 0)}
+	e := event{at: t, seq: s.seq, ref: s.newRef(h, arg)}
 	if !s.trySlot(&e) {
 		s.push(e)
 	}
@@ -240,97 +214,17 @@ func (s *Scheduler) AfterHandler(d Duration, h Handler, arg any) {
 	s.AtHandler(s.now.Add(d), h, arg)
 }
 
-// ScheduleRun schedules a whole emission run — n entries chained through
-// head via RunLink, each firing h.Handle(entry, at) — as one logical batch.
-// Entry fire times must be non-decreasing along the chain (emission loops
-// get this for free: completion instants of FIFO core executions are
-// monotone); the head's time is passed explicitly, each successor's rides
-// the predecessor's link.
-//
-// Ordering is bit-identical to scheduling the n entries individually, in
-// chain order, at the call instant: one contiguous seq per entry is
-// reserved eagerly, so the (at, seq) total order — and therefore every
-// downstream fingerprint — cannot observe the difference. What changes is
-// heap traffic: only the head is materialized; when it fires, the successor
-// is re-inserted with its pre-reserved seq, turning O(k log n) heap work
-// per batch into O(log n + k).
-//
-// The scheduler owns each entry's link from this call until the entry
-// fires, at which point the link is cleared before h.Handle runs — so the
-// handler (and anything downstream, including a pool Put) always sees an
-// unlinked item.
-func (s *Scheduler) ScheduleRun(h Handler, head RunLink, headAt Time, n int) {
-	if n <= 0 || head == nil {
-		return
-	}
-	if headAt < s.now {
-		headAt = s.now
-	}
-	s.stats.Scheduled += uint64(n)
-	if disableCoalesce || n == 1 {
-		// Reference path (and the trivial run): materialize every entry
-		// eagerly, one heap insert apiece, seqs in chain order — the same
-		// seq block the lazy path reserves, consumed identically.
-		cur, at := head, headAt
-		for cur != nil {
-			if at < s.now {
-				at = s.now
-			}
-			s.seq++
-			e := event{at: at, seq: s.seq, ref: s.newRef(h, cur, 0)}
-			if !s.trySlot(&e) {
-				s.push(e)
-			}
-			next, nextAt := cur.NextRun()
-			cur.SetNextRun(nil, 0)
-			cur, at = next, nextAt
-		}
-		return
-	}
-	base := s.seq + 1
-	s.seq += uint64(n)
-	s.stats.Coalesced += uint64(n - 1)
-	s.deferred += n - 1
-	e := event{at: headAt, seq: base, ref: s.newRef(h, head, base+uint64(n-1))}
-	if !s.trySlot(&e) {
-		s.push(e)
-	}
-}
-
 // newRef stores an event's dispatch payload in the slab, reusing the most
 // recently freed entry when there is one, and returns its index.
-func (s *Scheduler) newRef(h Handler, arg any, runEnd uint64) uint32 {
+func (s *Scheduler) newRef(h Handler, arg any) uint32 {
 	if n := len(s.free) - 1; n >= 0 {
 		r := s.free[n]
 		s.free = s.free[:n]
-		s.refs[r] = evRef{h: h, arg: arg, runEnd: runEnd}
+		s.refs[r] = evRef{h: h, arg: arg}
 		return r
 	}
-	s.refs = append(s.refs, evRef{h: h, arg: arg, runEnd: runEnd})
+	s.refs = append(s.refs, evRef{h: h, arg: arg})
 	return uint32(len(s.refs) - 1)
-}
-
-// advanceRun materializes the successor of a firing run entry: the link is
-// read and cleared first (the handler about to run may recycle the entry),
-// then the successor enters the pending set under its pre-reserved seq,
-// reusing the firing entry's slab slot. It reports whether a successor was
-// materialized; if not, the run is over and the caller frees the slot.
-func (s *Scheduler) advanceRun(e event, link RunLink) bool {
-	next, at := link.NextRun()
-	link.SetNextRun(nil, 0)
-	if next == nil {
-		return false
-	}
-	s.deferred--
-	if at < s.now {
-		at = s.now
-	}
-	s.refs[e.ref].arg = next
-	ne := event{at: at, seq: e.seq + 1, ref: e.ref}
-	if !s.trySlot(&ne) {
-		s.push(ne)
-	}
-	return true
 }
 
 // trySlot claims the inline slot for e if it provably fires before
@@ -346,7 +240,7 @@ func (s *Scheduler) advanceRun(e event, link RunLink) bool {
 // pointer and push is within the inlining budget, so every schedule path
 // constructs its event exactly once.
 func (s *Scheduler) trySlot(e *event) bool {
-	if disableCoalesce {
+	if s.eager {
 		return false
 	}
 	if s.slotFull {
@@ -426,8 +320,8 @@ func (s *Scheduler) pop() event {
 	return root
 }
 
-// Pending reports the number of events waiting to run, counting every
-// reserved entry of a lazily-emitted run (not just its materialized head).
+// Pending reports the number of events waiting to run, counting every lane
+// entry (not just each lane's head).
 func (s *Scheduler) Pending() int {
 	n := len(s.events) + s.deferred
 	if s.slotFull {
@@ -478,16 +372,16 @@ func (s *Scheduler) RunUntil(until Time) Time {
 			e = s.pop()
 		}
 		s.now = e.at
-		// Copy the payload out first: the handler may grow the slab or reuse
-		// a freed slot. A run entry with a successor hands its slot on
-		// (advanceRun materializes the successor, with its pre-reserved seq,
-		// before the handler can recycle the entry); any other event frees it.
+		if e.ref&laneRef != 0 {
+			s.lanes[e.ref&^laneRef].fire(s.now)
+			continue
+		}
+		// Copy the payload out and free its slot first: the handler may
+		// grow the slab or reuse the freed slot.
 		r := &s.refs[e.ref]
 		h, arg := r.h, r.arg
-		if r.runEnd <= e.seq || !s.advanceRun(e, arg.(RunLink)) {
-			*r = evRef{}
-			s.free = append(s.free, e.ref)
-		}
+		*r = evRef{}
+		s.free = append(s.free, e.ref)
 		h.Handle(arg, s.now)
 	}
 	// Drained or stopped before the horizon: park the clock where the

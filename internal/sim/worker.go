@@ -66,13 +66,13 @@ type Worker[T any] struct {
 	spare     []T // recycled backing buffer StealQueue swaps in for queue
 	scheduled bool
 	pollTag   string // Name+"/poll", concatenated once
-	chainKind int8   // 0 undecided, 1 T implements RunLink, 2 it doesn't
 
-	// Closure-free scheduling: every poll and per-item delivery event is
-	// scheduled through these fixed handler objects instead of a fresh
-	// closure, so a worker's steady state allocates nothing per event.
+	// Closure-free scheduling: poll rounds are scheduled through a fixed
+	// handler object, and processed items wait by value in the then lane
+	// (completion instants on the worker's core never decrease), so a
+	// worker's steady state allocates nothing per event.
 	pollH workerPollH[T]
-	thenH workerThenH[T]
+	then  *Lane[T]
 
 	// Stats.
 	Enqueued   uint64
@@ -87,13 +87,6 @@ type workerPollH[T any] struct{ w *Worker[T] }
 
 // Handle implements Handler.
 func (p *workerPollH[T]) Handle(any, Time) { p.w.poll() }
-
-// workerThenH delivers one processed item downstream at its completion
-// instant; the item rides the event's arg slot.
-type workerThenH[T any] struct{ w *Worker[T] }
-
-// Handle implements Handler.
-func (h *workerThenH[T]) Handle(arg any, now Time) { h.w.Then(arg.(T), now) }
 
 // NewWorker returns a worker bound to core with a per-item cost function and
 // downstream delivery fn.
@@ -214,51 +207,18 @@ func (w *Worker[T]) poll() {
 	if w.ProcessBatch != nil {
 		w.ProcessBatch(batch)
 	} else {
-		if w.thenH.w == nil {
-			w.thenH.w = w
+		if w.then == nil {
+			w.then = NewLane(w.Sched, w.deliver)
 		}
-		// Chainable items (skbs, GSO units) deliver as one emission run:
-		// completion instants within the batch are monotone (the core
-		// executes FIFO), so the whole round costs the scheduler one heap
-		// insert instead of one per item. Items whose type doesn't
-		// implement RunLink keep the per-item path; that check is made
-		// once on the zero value so value-typed items (ints in tests)
-		// aren't boxed per item just to probe the interface.
-		if w.chainKind == 0 {
-			var zero T
-			if _, ok := any(zero).(RunLink); ok {
-				w.chainKind = 1
-			} else {
-				w.chainKind = 2
-			}
-		}
-		var head, tail RunLink
-		var headAt Time
-		runN := 0
 		for _, item := range batch {
 			start, end := w.Core.Exec(w.Cost(item), w.Name)
 			w.Processed++
 			if w.ServeLog != nil {
 				w.ServeLog(item, start, end)
 			}
-			if w.Then == nil {
-				continue
+			if w.Then != nil {
+				w.then.At(end, item)
 			}
-			if w.chainKind != 1 {
-				w.Sched.AtHandler(end, &w.thenH, item)
-				continue
-			}
-			link := any(item).(RunLink)
-			if tail == nil {
-				head, headAt = link, end
-			} else {
-				tail.SetNextRun(link, end)
-			}
-			tail = link
-			runN++
-		}
-		if runN > 0 {
-			w.Sched.ScheduleRun(&w.thenH, head, headAt, runN)
 		}
 	}
 	w.compact()
@@ -278,6 +238,9 @@ func (w *Worker[T]) poll() {
 		w.Sched.AtHandler(w.Core.FreeAt().Add(w.IdleGrace), w.pollHandler(), nil)
 	}
 }
+
+// deliver hands one processed item downstream at its completion instant.
+func (w *Worker[T]) deliver(item T, now Time) { w.Then(item, now) }
 
 // compact reclaims the consumed prefix of the queue buffer: in full (no
 // copy) when the queue has drained, and by sliding the backlog down once

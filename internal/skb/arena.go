@@ -256,8 +256,6 @@ func (s *SKB) Clone() *SKB {
 	c := &SKB{}
 	*c = *s
 	c.buf, c.off, c.Data, c.frags = nil, 0, nil, nil
-	// A clone is not part of any emission run its original rides.
-	c.runNext, c.runAt = nil, 0
 	if s.Parts() > 0 {
 		total := len(s.Data)
 		for _, f := range s.frags {

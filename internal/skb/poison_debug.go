@@ -41,7 +41,6 @@ func poison(s *SKB) {
 	s.QueuedAt = PoisonTime
 	s.MemCharge = PoisonInt
 	s.Accounted = true
-	s.runAt = PoisonTime
 	poisonArena(s.buf[:cap(s.buf)])
 }
 

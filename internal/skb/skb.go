@@ -113,14 +113,6 @@ type SKB struct {
 	off   int
 	frags []frag
 
-	// runNext / runAt chain this skb into a scheduler emission run
-	// (sim.ScheduleRun): runNext is the run's following entry, runAt its
-	// fire time. Pool-managed like the arena — the scheduler consumes and
-	// clears the link before the skb's own delivery handler runs, Put
-	// clears it defensively, and debug builds poison runAt.
-	runNext *SKB
-	runAt   sim.Time
-
 	// CP is the causal profiler's per-packet attribution record (nil
 	// unless a run is probed). Declared as any to keep skb free of an
 	// internal/causal dependency; only the profiler reads or writes it.
@@ -131,25 +123,6 @@ type SKB struct {
 func (s *SKB) String() string {
 	return fmt.Sprintf("skb{flow=%d seq=%d segs=%d bytes=%d mf=%d}",
 		s.FlowID, s.Seq, s.Segs, s.WireLen, s.MicroFlow)
-}
-
-// NextRun implements sim.RunLink: the next entry of the emission run this
-// skb heads, or (nil, 0) at chain end — returned as an untyped nil so the
-// scheduler's nil check works.
-func (s *SKB) NextRun() (sim.RunLink, sim.Time) {
-	if s.runNext == nil {
-		return nil, 0
-	}
-	return s.runNext, s.runAt
-}
-
-// SetNextRun implements sim.RunLink.
-func (s *SKB) SetNextRun(next sim.RunLink, at sim.Time) {
-	if next == nil {
-		s.runNext, s.runAt = nil, 0
-		return
-	}
-	s.runNext, s.runAt = next.(*SKB), at
 }
 
 // EndSeq returns the first segment sequence after this SKB's coverage.
@@ -272,7 +245,6 @@ func (p *Pool) Put(s *SKB) {
 	s.Data = nil
 	s.off = 0
 	s.CP = nil
-	s.runNext, s.runAt = nil, 0
 	p.Puts++
 	p.free = append(p.free, s)
 }

@@ -217,3 +217,29 @@ func TestThreeUDPClientsShareSequenceSpace(t *testing.T) {
 		t.Errorf("only %d segments from 3 clients", len(seen))
 	}
 }
+
+// TestTCPSenderStartAllocs pins the sender's working set: Start fills the
+// whole window at once, and the queued segments wait as values in a lane
+// whose ring doubles, so a 128x larger window costs a handful of extra
+// allocations, not a pooled SKB and an event carrier per segment.
+func TestTCPSenderStartAllocs(t *testing.T) {
+	startAllocs := func(window int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s := sim.NewScheduler(1)
+			tx := &TCPSender{
+				FlowID: 1, MsgSize: 65536, Window: window,
+				Core: sim.NewCore(0, s), Sched: s, Net: &sink{sched: s},
+				Cost: ClientCost{PerSeg: 100}, Pool: &skb.Pool{},
+			}
+			tx.Start()
+			if tx.Outstanding() != window {
+				t.Fatalf("Start queued %d segments, want the window of %d", tx.Outstanding(), window)
+			}
+		})
+	}
+	small, large := startAllocs(16), startAllocs(2048)
+	// log2(2048/16) = 7 ring doublings, plus slack for map growth.
+	if large-small > 16 {
+		t.Fatalf("Start allocates %.0f at window 2048 vs %.0f at window 16: want O(log W) growth", large, small)
+	}
+}

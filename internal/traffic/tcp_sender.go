@@ -43,8 +43,8 @@ type TCPSender struct {
 	FlowID  uint64
 	MsgSize int
 	// Window is the maximum outstanding segments (the paper observes
-	// ~2000 MTU packets outstanding at 30 Gbps; the default used by the
-	// experiments is 512, plenty to cover the pipeline).
+	// ~2000 MTU packets outstanding at 30 Gbps; the experiments'
+	// scenarios default to 2048). Zero or less falls back to 512.
 	Window int
 	Core   *sim.Core
 	Sched  *sim.Scheduler
@@ -103,44 +103,33 @@ type TCPSender struct {
 	rtoGen       uint64 // invalidates superseded timer events
 	rtoArmed     bool
 
-	// Closure-free scheduling: per-event state (the segment record, the
-	// retransmit sequence, the RTO generation) rides a pooled txEvt
-	// through the event's arg slot, replacing the per-segment closures.
-	doneH     tcpDoneH
+	// Closure-free scheduling: first transmissions wait by value in the
+	// queued lane until the client core finishes them (its completions
+	// never decrease); retransmissions and RTO expiries carry their state
+	// (the segment record, the retransmit sequence, the RTO generation)
+	// in a pooled txEvt through the event's arg slot.
+	queued    *sim.Lane[txSeg]
 	retxDoneH tcpRetxDoneH
 	netH      tcpNetH
 	rtoH      tcpRTOH
 	evtFree   []*txEvt
 }
 
-// txEvt carries per-event state for the sender's scheduler events; instances
-// are recycled on a sender-local freelist.
+// txSeg is a first transmission queued on the client core: everything the
+// segment's SKB needs, built only when the segment reaches the wire.
+type txSeg struct {
+	rec     *segRec // retransmit-buffer record (nil unless Reliable)
+	seq     uint64
+	msgID   uint64
+	payload int32
+	msgEnd  bool
+}
+
+// txEvt carries per-event state for the sender's retransmission and timer
+// events; instances are recycled on a sender-local freelist.
 type txEvt struct {
-	s   *skb.SKB
 	rec *segRec
 	n   uint64 // retransmit sequence, or RTO generation
-
-	// runNext / runAt chain a pump burst's completion events into one
-	// scheduler run (sim.RunLink); consumed and cleared at fire time.
-	runNext *txEvt
-	runAt   sim.Time
-}
-
-// NextRun implements sim.RunLink.
-func (e *txEvt) NextRun() (sim.RunLink, sim.Time) {
-	if e.runNext == nil {
-		return nil, 0
-	}
-	return e.runNext, e.runAt
-}
-
-// SetNextRun implements sim.RunLink.
-func (e *txEvt) SetNextRun(next sim.RunLink, at sim.Time) {
-	if next == nil {
-		e.runNext, e.runAt = nil, 0
-		return
-	}
-	e.runNext, e.runAt = next.(*txEvt), at
 }
 
 func (t *TCPSender) getEvt() *txEvt {
@@ -157,23 +146,32 @@ func (t *TCPSender) putEvt(e *txEvt) {
 	t.evtFree = append(t.evtFree, e)
 }
 
-// tcpDoneH fires at a first transmission's client-core completion: it stamps
-// the send time (Karn's RTT baseline) and puts the segment on the wire. The
-// record pointer is carried, not looked up, so an acknowledgement that
-// already deleted the record still gets its (harmless) stamp, exactly as the
-// closure it replaces did.
-type tcpDoneH struct{ t *TCPSender }
-
-// Handle implements sim.Handler.
-func (h tcpDoneH) Handle(arg any, now sim.Time) {
-	t := h.t
-	e := arg.(*txEvt)
-	if e.rec != nil {
-		e.rec.sentAt = now
+// onSent fires at a first transmission's client-core completion: it stamps
+// the send time (Karn's RTT baseline), builds the segment's SKB and puts it
+// on the wire. The record pointer is carried, not looked up, so an
+// acknowledgement that already deleted the record still gets its (harmless)
+// stamp.
+func (t *TCPSender) onSent(g txSeg, now sim.Time) {
+	if g.rec != nil {
+		g.rec.sentAt = now
 	}
-	e.s.SentAt = now
-	t.Sched.AtHandler(now.Add(t.NetDelay), t.netH, e.s)
-	t.putEvt(e)
+	s := t.segment(g.seq, int(g.payload), g.msgID, g.msgEnd)
+	s.SentAt = now
+	t.Sched.AtHandler(now.Add(t.NetDelay), t.netH, s)
+}
+
+// segment builds the SKB for one data segment.
+func (t *TCPSender) segment(seq uint64, payload int, msgID uint64, msgEnd bool) *skb.SKB {
+	s := t.Pool.Get()
+	s.FlowID = t.FlowID
+	s.Proto = skb.TCP
+	s.Seq = seq
+	s.Segs = 1
+	s.WireLen = payload + 52 // inner eth+ip+tcp headers
+	s.PayloadLen = payload
+	s.MsgID = msgID
+	s.MsgEnd = msgEnd
+	return s
 }
 
 // tcpRetxDoneH fires at a retransmission's completion. The SKB is built here
@@ -188,15 +186,7 @@ func (h tcpRetxDoneH) Handle(arg any, now sim.Time) {
 	e := arg.(*txEvt)
 	rec, seq := e.rec, e.n
 	t.putEvt(e)
-	s := t.Pool.Get()
-	s.FlowID = t.FlowID
-	s.Proto = skb.TCP
-	s.Seq = seq
-	s.Segs = 1
-	s.WireLen = rec.payload + 52
-	s.PayloadLen = rec.payload
-	s.MsgID = rec.msgID
-	s.MsgEnd = rec.msgEnd
+	s := t.segment(seq, rec.payload, rec.msgID, rec.msgEnd)
 	s.SentAt = rec.sentAt // latency measured from first transmission
 	t.Sched.AtHandler(now.Add(t.NetDelay), t.netH, s)
 }
@@ -236,7 +226,7 @@ func (t *TCPSender) Start() {
 	if t.Reliable {
 		t.sent = make(map[uint64]*segRec)
 	}
-	t.doneH = tcpDoneH{t}
+	t.queued = sim.NewLane(t.Sched, t.onSent)
 	t.retxDoneH = tcpRetxDoneH{t}
 	t.netH = tcpNetH{t}
 	t.rtoH = tcpRTOH{t}
@@ -372,29 +362,14 @@ func (t *TCPSender) pump() {
 	if win <= 0 {
 		win = 512
 	}
-	// A window burst's completion events form one emission run (the FIFO
-	// client core makes their instants monotone; the RTO armed by the
-	// first reliable segment keeps its place because it is scheduled
-	// inline, before the run's seq block is reserved).
-	var head, tail *txEvt
-	var headAt sim.Time
-	n := 0
 	for t.Outstanding() < win {
-		e, end := t.sendSegment()
-		if tail == nil {
-			head, headAt = e, end
-		} else {
-			tail.SetNextRun(e, end)
-		}
-		tail = e
-		n++
-	}
-	if n > 0 {
-		t.Sched.ScheduleRun(t.doneH, head, headAt, n)
+		t.sendSegment()
 	}
 }
 
-func (t *TCPSender) sendSegment() (*txEvt, sim.Time) {
+// sendSegment charges one new segment to the client core and queues it on
+// the queued lane for its completion instant.
+func (t *TCPSender) sendSegment() {
 	payload := t.MsgSize - t.inMsg
 	if payload > MSS {
 		payload = MSS
@@ -425,18 +400,7 @@ func (t *TCPSender) sendSegment() (*txEvt, sim.Time) {
 		}
 	}
 	_, end := t.Core.Exec(cost, "tcp-send")
-	s := t.Pool.Get()
-	s.FlowID = t.FlowID
-	s.Proto = skb.TCP
-	s.Seq = seq
-	s.Segs = 1
-	s.WireLen = payload + 52 // inner eth+ip+tcp headers
-	s.PayloadLen = payload
-	s.MsgID = msgID
-	s.MsgEnd = last
-	e := t.getEvt()
-	e.s, e.rec = s, rec
-	return e, end
+	t.queued.At(end, txSeg{rec: rec, seq: seq, msgID: msgID, payload: int32(payload), msgEnd: last})
 }
 
 // retransmit resends the buffered segment at seq, if still unacknowledged.

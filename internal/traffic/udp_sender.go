@@ -32,22 +32,38 @@ type UDPSender struct {
 	stopped bool
 	started bool
 
-	// Fixed handler objects for the scheduler's closure-free path: one
-	// send-complete event and one wire-delivery event per segment, plus
-	// the loop continuation, all without per-event closures.
-	doneH udpDoneH
-	netH  udpNetH
-	loopH udpLoopH
+	// Closure-free scheduling: fragments wait by value in the queued
+	// lane until the client core finishes them (its completions never
+	// decrease); wire delivery and the loop continuation ride fixed
+	// handler objects.
+	queued *sim.Lane[udpFrag]
+	netH   udpNetH
+	loopH  udpLoopH
 }
 
-// udpDoneH fires at a segment's client-core completion instant and puts the
-// segment on the wire.
-type udpDoneH struct{ u *UDPSender }
+// udpFrag is a datagram fragment queued on the client core: everything its
+// SKB needs, built only when the fragment reaches the wire.
+type udpFrag struct {
+	seq     uint64
+	msgID   uint64
+	payload int32
+	msgEnd  bool
+}
 
-// Handle implements sim.Handler.
-func (h udpDoneH) Handle(arg any, now sim.Time) {
-	u := h.u
-	u.Sched.AtHandler(now.Add(u.NetDelay), u.netH, arg)
+// onSent fires at a fragment's client-core completion instant: it builds
+// the fragment's SKB and puts it on the wire.
+func (u *UDPSender) onSent(f udpFrag, now sim.Time) {
+	s := u.Pool.Get()
+	s.FlowID = u.FlowID
+	s.Proto = skb.UDP
+	s.Seq = f.seq
+	s.Segs = 1
+	s.WireLen = int(f.payload) + 28 + 14 // ip+udp+eth headers
+	s.PayloadLen = int(f.payload)
+	s.MsgID = f.msgID
+	s.MsgEnd = f.msgEnd
+	s.SentAt = now
+	u.Sched.AtHandler(now.Add(u.NetDelay), u.netH, s)
 }
 
 // udpNetH fires when a segment reaches the receiver NIC.
@@ -76,7 +92,7 @@ func (u *UDPSender) Start() {
 	if u.Seq == nil {
 		u.Seq = &SeqAlloc{}
 	}
-	u.doneH = udpDoneH{u}
+	u.queued = sim.NewLane(u.Sched, u.onSent)
 	u.netH = udpNetH{u}
 	u.loopH = udpLoopH{u}
 	u.sendMsg()
@@ -98,11 +114,6 @@ func (u *UDPSender) sendMsg() {
 	u.MsgsSent++
 	remaining := u.MsgSize
 	seq := u.Seq.Next(frags)
-	// The datagram's fragments form one emission run: completion instants
-	// are monotone on the FIFO client core, so the scheduler pays one heap
-	// insert per datagram instead of one per fragment.
-	var head, tail *skb.SKB
-	var headAt sim.Time
 	for i := 0; i < frags; i++ {
 		payload := remaining
 		if payload > UDPFragPayload {
@@ -113,28 +124,11 @@ func (u *UDPSender) sendMsg() {
 		if i == 0 {
 			cost += u.Cost.PerMsg
 		}
-		segSeq := seq + uint64(i)
 		u.SegsSent++
 		u.BytesSent += uint64(payload)
 		_, end := u.Core.Exec(cost, "udp-send")
-		s := u.Pool.Get()
-		s.FlowID = u.FlowID
-		s.Proto = skb.UDP
-		s.Seq = segSeq
-		s.Segs = 1
-		s.WireLen = payload + 28 + 14 // ip+udp+eth headers
-		s.PayloadLen = payload
-		s.MsgID = msgID
-		s.MsgEnd = i == frags-1
-		s.SentAt = end
-		if tail == nil {
-			head, headAt = s, end
-		} else {
-			tail.SetNextRun(s, end)
-		}
-		tail = s
+		u.queued.At(end, udpFrag{seq: seq + uint64(i), msgID: msgID, payload: int32(payload), msgEnd: i == frags-1})
 	}
-	u.Sched.ScheduleRun(u.doneH, head, headAt, frags)
 	// Next datagram as soon as the client core frees up: the sender
 	// saturates its CPU, the paper's client-side bottleneck.
 	u.Sched.AtHandler(u.Core.FreeAt(), u.loopH, nil)

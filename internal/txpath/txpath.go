@@ -83,10 +83,12 @@ type Pipeline struct {
 	lastMsg   uint64
 	lastProto skb.Proto
 
-	// Fixed handler objects for the closure-free scheduler path, plus a
-	// freelist of GSO units (a unit dies as soon as its segments hit the
-	// wire, so a handful cover any pipeline depth).
-	outH     txOutH
+	// Closure-free scheduling: serialized segments wait in the wire lane
+	// (the wire core's completions never decrease), enqueues ride a fixed
+	// handler object, and GSO units recycle on a freelist (a unit dies as
+	// soon as its segments hit the wire, so a handful cover any pipeline
+	// depth).
+	wired    *sim.Lane[*skb.SKB]
 	enqH     txEnqH
 	unitFree []*txUnit
 
@@ -98,37 +100,6 @@ type Pipeline struct {
 // txUnit is a GSO super-packet in flight through the egress chain.
 type txUnit struct {
 	segs []*skb.SKB
-
-	// runNext / runAt chain units into a qdisc delivery run
-	// (sim.RunLink); the scheduler consumes and clears the link before
-	// the unit's transmit handler runs.
-	runNext *txUnit
-	runAt   sim.Time
-}
-
-// NextRun implements sim.RunLink.
-func (u *txUnit) NextRun() (sim.RunLink, sim.Time) {
-	if u.runNext == nil {
-		return nil, 0
-	}
-	return u.runNext, u.runAt
-}
-
-// SetNextRun implements sim.RunLink.
-func (u *txUnit) SetNextRun(next sim.RunLink, at sim.Time) {
-	if next == nil {
-		u.runNext, u.runAt = nil, 0
-		return
-	}
-	u.runNext, u.runAt = next.(*txUnit), at
-}
-
-// txOutH delivers one wire-serialized segment to the receiving NIC.
-type txOutH struct{ p *Pipeline }
-
-// Handle implements sim.Handler.
-func (h txOutH) Handle(arg any, _ sim.Time) {
-	h.p.Out.Deliver(arg.(*skb.SKB))
 }
 
 // txEnqH enqueues a closed GSO unit onto the qdisc at the socket path's
@@ -163,7 +134,6 @@ func (p *Pipeline) getUnit() *txUnit {
 
 func (p *Pipeline) putUnit(u *txUnit) {
 	u.segs = u.segs[:0]
-	u.runNext, u.runAt = nil, 0
 	p.unitFree = append(p.unitFree, u)
 }
 
@@ -187,7 +157,7 @@ func New(app, kernel *sim.Core, sched *sim.Scheduler, costs Costs, overlay bool,
 		Cost:   p.unitCost,
 		Then:   p.transmit,
 	}
-	p.outH = txOutH{p}
+	p.wired = sim.NewLane(sched, p.deliverOut)
 	p.enqH = txEnqH{p}
 	return p
 }
@@ -209,13 +179,8 @@ func (p *Pipeline) unitCost(u *txUnit) sim.Duration {
 }
 
 // transmit serializes the unit's segments onto the wire, delivering each to
-// the receiving NIC at its serialization completion instant. The unit's
-// segments form one emission run (serialization completions are monotone on
-// the wire core), costing the scheduler a single heap insert.
+// the receiving NIC at its serialization completion instant.
 func (p *Pipeline) transmit(u *txUnit, _ sim.Time) {
-	var head, tail *skb.SKB
-	var headAt sim.Time
-	n := 0
 	for _, s := range u.segs {
 		d := sim.Duration(float64(s.WireLen*8) / p.Costs.WireBps * 1e9)
 		if d < 1 {
@@ -223,19 +188,13 @@ func (p *Pipeline) transmit(u *txUnit, _ sim.Time) {
 		}
 		_, end := p.wire.Exec(d, "wire")
 		p.SentSegments += uint64(s.Segs)
-		if tail == nil {
-			head, headAt = s, end
-		} else {
-			tail.SetNextRun(s, end)
-		}
-		tail = s
-		n++
+		p.wired.At(end, s)
 	}
 	p.putUnit(u)
-	if n > 0 {
-		p.sched.ScheduleRun(p.outH, head, headAt, n)
-	}
 }
+
+// deliverOut hands one wire-serialized segment to the receiving NIC.
+func (p *Pipeline) deliverOut(s *skb.SKB, _ sim.Time) { p.Out.Deliver(s) }
 
 // Deliver implements traffic.Ingress: a sender's segment enters the socket
 // send path. Consecutive same-message TCP segments fuse into one GSO unit
