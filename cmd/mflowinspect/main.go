@@ -74,13 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	pr := skb.TCP
-	switch *proto {
-	case "tcp", "TCP":
-	case "udp", "UDP":
-		pr = skb.UDP
-	default:
-		fmt.Fprintf(stderr, "mflowinspect: unknown -proto %q\n", *proto)
+	pr, err := skb.ParseProto(*proto)
+	if err != nil {
+		fmt.Fprintln(stderr, "mflowinspect: -proto:", err)
 		return 2
 	}
 	sc := overlay.Scenario{

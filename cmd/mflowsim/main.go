@@ -101,14 +101,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	var p skb.Proto
-	switch strings.ToLower(*proto) {
-	case "tcp":
-		p = skb.TCP
-	case "udp":
-		p = skb.UDP
-	default:
-		fmt.Fprintf(stderr, "unknown proto %q\n", *proto)
+	p, err := skb.ParseProto(*proto)
+	if err != nil {
+		fmt.Fprintln(stderr, "-proto:", err)
 		return 2
 	}
 

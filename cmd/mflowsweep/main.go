@@ -68,14 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var p skb.Proto
-	switch strings.ToLower(*proto) {
-	case "tcp":
-		p = skb.TCP
-	case "udp":
-		p = skb.UDP
-	default:
-		return fail(fmt.Errorf("unknown -proto %q (want tcp or udp)", *proto))
+	p, err := skb.ParseProto(*proto)
+	if err != nil {
+		return fail(fmt.Errorf("-proto: %w", err))
 	}
 	for _, f := range []struct {
 		name string

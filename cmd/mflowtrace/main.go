@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"mflow/internal/obs"
 	"mflow/internal/overlay"
@@ -55,9 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	p := skb.TCP
-	if strings.EqualFold(*proto, "udp") {
-		p = skb.UDP
+	p, err := skb.ParseProto(*proto)
+	if err != nil {
+		fmt.Fprintln(stderr, "-proto:", err)
+		return 2
 	}
 
 	tr := trace.New()

@@ -51,3 +51,15 @@ func TestRunRejectsUnknownSystem(t *testing.T) {
 		t.Errorf("exit %d, want 2", code)
 	}
 }
+
+// TestRunRejectsUnknownProto: a transport the simulator does not model is
+// an error, not a silent TCP trace.
+func TestRunRejectsUnknownProto(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-proto", "sctp"}, &out, &errb); code != 2 {
+		t.Errorf("exit %d, want 2", code)
+	}
+	if out.Len() != 0 || !strings.Contains(errb.String(), "sctp") {
+		t.Errorf("stdout %q, stderr %q: want no trace and the bad name reported", out.String(), errb.String())
+	}
+}

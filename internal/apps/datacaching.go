@@ -96,18 +96,8 @@ func (r *CachingResult) String() string {
 		r.Config.System, r.Config.Clients, r.RequestsPerSec, r.Avg, r.P99)
 }
 
-// RunDataCachingDebug runs the benchmark and exposes the host cores for
-// utilization inspection (development aid).
-func RunDataCachingDebug(cfg CachingConfig, cores *[]*sim.Core) *CachingResult {
-	return runDataCaching(cfg, cores)
-}
-
 // RunDataCaching executes the data-caching benchmark.
 func RunDataCaching(cfg CachingConfig) *CachingResult {
-	return runDataCaching(cfg, nil)
-}
-
-func runDataCaching(cfg CachingConfig, coresOut *[]*sim.Core) *CachingResult {
 	cfg = cfg.withDefaults()
 	flows := cfg.Clients * cfg.ConnsPerClient
 	st := overlay.NewStack(overlay.Scenario{
@@ -123,9 +113,6 @@ func runDataCaching(cfg CachingConfig, coresOut *[]*sim.Core) *CachingResult {
 	})
 	sched := st.Sched()
 	cfgCosts := st.Scenario().Costs
-	if coresOut != nil {
-		*coresOut = st.Cores()
-	}
 
 	lat := metrics.NewHistogram()
 	measStart := sim.Time(cfg.Warmup)
@@ -149,8 +136,8 @@ func runDataCaching(cfg CachingConfig, coresOut *[]*sim.Core) *CachingResult {
 			delete(pending[f], msgID)
 			// memcached thread services the GET, then the 550-byte
 			// response crosses back to the client.
-			core := st.AppCore(f)
-			core.Run(cfg.ServiceTime+sim.Duration(txPerByte*float64(cfg.ValueB)), "memcached", func(end sim.Time) {
+			_, end := st.AppCore(f).Exec(cfg.ServiceTime+sim.Duration(txPerByte*float64(cfg.ValueB)), "memcached")
+			sched.At(end, func() {
 				doneAt := end.Add(cfgCosts.NetDelay)
 				sched.At(doneAt, func() {
 					if p.measured && doneAt < measEnd.Add(40*sim.Millisecond) {

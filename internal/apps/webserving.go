@@ -275,7 +275,8 @@ func RunWebServing(cfg WebConfig) *WebResult {
 			// 2. Web tier burns half its CPU then pulls from the cache
 			// tier: the cache's response travels the overlay back in.
 			app := st.AppCore(uf)
-			app.Run(op.ServerCost/2, "web-app", func(sim.Time) {
+			_, half := app.Exec(op.ServerCost/2, "web-app")
+			sched.At(half, func() {
 				cf := cfg.UserFlows + (u % cfg.CacheFlows)
 				sched.After(st.Scenario().Costs.NetDelay+cacheServiceTime, func() {
 					cID := st.Send(cf, op.CacheB)
@@ -283,7 +284,8 @@ func RunWebServing(cfg WebConfig) *WebResult {
 						afterTiers := func() {
 							// 4. Compose and transmit the page.
 							tx := op.ServerCost/2 + sim.Duration(txPerByte*float64(op.ResponseB))
-							app.Run(tx, "web-app", func(end sim.Time) {
+							_, end := app.Exec(tx, "web-app")
+							sched.At(end, func() {
 								done := end.Add(st.Scenario().Costs.NetDelay)
 								sched.At(done, func() { finish(os, idx, done); next() })
 							})

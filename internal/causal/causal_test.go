@@ -38,11 +38,11 @@ func TestConservationExact(t *testing.T) {
 	}
 
 	s := mkSKB(7, 100)
-	p.MarkWait(s, "driver", 150, true, false, 0)   // ring-wait 50
-	p.Mark(s, SegService, "driver", 180)           // service 30
-	p.MarkBlame(s, "reassembler", 300, 9)          // reorder-wait 120, blame 9
-	p.MarkServe(s, 350, 400)                       // sock-wait 50, copy 50
-	p.Complete(s, 425)                             // other 25
+	p.MarkWait(s, "driver", 150, true, false, 0) // ring-wait 50
+	p.Mark(s, SegService, "driver", 180)         // service 30
+	p.MarkBlame(s, "reassembler", 300, 9)        // reorder-wait 120, blame 9
+	p.MarkServe(s, 350, 400)                     // sock-wait 50, copy 50
+	p.Complete(s, 425)                           // other 25
 
 	if got == nil {
 		t.Fatal("OnComplete never fired")

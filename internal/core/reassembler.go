@@ -151,9 +151,6 @@ func (r *Reassembler) Buffered() int { return r.buffered }
 // Counter returns the micro-flow ID currently being merged.
 func (r *Reassembler) Counter() uint64 { return r.counter }
 
-// ExpectedSeq returns the next segment sequence the merger will deliver.
-func (r *Reassembler) ExpectedSeq() uint64 { return r.expectedSeq }
-
 // Arrive accepts an skb from a splitting core's processing path and pumps
 // the merger. skbs must carry the MicroFlow stamp from the Splitter.
 func (r *Reassembler) Arrive(s *skb.SKB) error {

@@ -52,16 +52,12 @@ type NIC struct {
 
 	pins map[uint64]int
 
-	// pktSeq issues skb.PktID: a monotonic arrival counter covering every
+	// PktSeq issues skb.PktID: a monotonic arrival counter covering every
 	// frame the NIC looks at (including ones the ring then drops), so ids
-	// are unique but not dense.
-	pktSeq uint64
-
-	// PktSeq, when set, replaces the private pktSeq with a sequence shared
-	// across NICs. Multi-host fabric runs point every host's NIC at one
-	// counter so PktIDs stay unique run-wide (the causal profiler and the
-	// flight recorder key records on them); single-host runs leave it nil
-	// and behave exactly as before.
+	// are unique but not dense. New gives each NIC its own; multi-host
+	// fabric runs point every host's NIC at one counter so PktIDs stay
+	// unique run-wide (the causal profiler and the flight recorder key
+	// records on them).
 	PktSeq *uint64
 
 	// OnDrop, when set, observes frames rejected by a full descriptor ring
@@ -102,9 +98,6 @@ type NIC struct {
 // budgeted polling mode).
 func (n *NIC) MaskIRQs(masked bool) { n.irqMasked = masked }
 
-// IRQsMasked reports whether interrupts are currently masked.
-func (n *NIC) IRQsMasked() bool { return n.irqMasked }
-
 // PinFlow steers a flow to a fixed queue, overriding the RSS hash — the
 // simulator's equivalent of an ethtool n-tuple steering rule, used by the
 // experiment topologies for deterministic placement.
@@ -125,6 +118,7 @@ func New(cfg Config, sched *sim.Scheduler) *NIC {
 		cfg:     cfg,
 		sched:   sched,
 		drivers: make([]*sim.Worker[*skb.SKB], cfg.Queues),
+		PktSeq:  new(uint64),
 	}
 }
 
@@ -180,13 +174,8 @@ func (n *NIC) Deliver(s *skb.SKB) bool {
 		return false
 	}
 	s.ArrivedAt = n.sched.Now()
-	if n.PktSeq != nil {
-		*n.PktSeq++
-		s.PktID = *n.PktSeq
-	} else {
-		n.pktSeq++
-		s.PktID = n.pktSeq
-	}
+	*n.PktSeq++
+	s.PktID = *n.PktSeq
 	if n.PerFrameIRQ && !n.irqMasked {
 		// Interrupt-per-frame: the top half runs for every arrival before
 		// the frame even reaches the ring — dropped frames still cost their

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,11 +18,15 @@ import (
 	"mflow/internal/trace"
 )
 
+// update rewrites the golden files under testdata/ instead of comparing
+// against them: go test ./internal/overlay/ -run <Test> -update.
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
 // checkGolden compares got against the golden file, or rewrites the file
-// when UPDATE_GOLDEN is set.
+// under -update.
 func checkGolden(t *testing.T, golden string, got []byte) {
 	t.Helper()
-	if os.Getenv("UPDATE_GOLDEN") != "" {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -32,10 +37,10 @@ func checkGolden(t *testing.T, golden string, got []byte) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
+		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s (%d vs %d bytes); regenerate with UPDATE_GOLDEN=1 if intended:\n--- want ---\n%s\n--- got ---\n%s",
+		t.Errorf("output drifted from %s (%d vs %d bytes); regenerate with -update if intended:\n--- want ---\n%s\n--- got ---\n%s",
 			golden, len(got), len(want), clip(want), clip(got))
 	}
 }
@@ -56,7 +61,7 @@ func clip(b []byte) []byte {
 // testdata/breakdowns/<system>-<proto>-<chaos>.txt. TestCausalDeterminism
 // only compares a run against itself; this pins the attribution against
 // the code that produced the goldens. Regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/overlay/ -run TestBreakdownGoldens
+// go test ./internal/overlay/ -run TestBreakdownGoldens -update
 // after an intentional model change.
 func TestBreakdownGoldens(t *testing.T) {
 	for _, sys := range steering.Systems {
@@ -98,7 +103,7 @@ func renderAttribution(sc Scenario) string {
 // packet tracks from the Tracer, traced with mflowtrace's filters — against
 // testdata/breakdowns/perfetto-mflow-tcp.json. The window is cut to 50+50us
 // to keep the golden small. Regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/overlay/ -run TestPerfettoGolden.
+// go test ./internal/overlay/ -run TestPerfettoGolden -update.
 func TestPerfettoGolden(t *testing.T) {
 	tr := trace.New()
 	tr.OnlyFlow, tr.OnlySeqBelow = 1, 4+256

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -203,7 +202,7 @@ func TestCausalDeterminism(t *testing.T) {
 // pipeline's own skew guarantee timer-path hole releases (with realistic
 // timeouts the merger's advance heuristics resolve holes first — see
 // Reassembler.onGapTimer). Regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/overlay/ -run TestFlightGapTimeoutGolden
+// go test ./internal/overlay/ -run TestFlightGapTimeoutGolden -update
 // after an intentional change.
 func TestFlightGapTimeoutGolden(t *testing.T) {
 	sc := causalScenario(steering.MFlow, skb.UDP, &fault.Plan{
@@ -220,20 +219,5 @@ func TestFlightGapTimeoutGolden(t *testing.T) {
 	if err := fr.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "flight_gap_timeout.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", golden, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("flight export drifted from %s (%d vs %d bytes); regenerate with UPDATE_GOLDEN=1 if intended",
-			golden, buf.Len(), len(want))
-	}
+	checkGolden(t, filepath.Join("testdata", "flight_gap_timeout.json"), buf.Bytes())
 }

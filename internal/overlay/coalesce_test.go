@@ -54,7 +54,7 @@ func TestRunCoalescedFingerprints(t *testing.T) {
 
 	for _, c := range cells {
 		coalesced := Run(mk(c)).Fingerprint()
-		eager := run(mk(c), Probes{}, true).Fingerprint()
+		eager := run(mk(c), Probes{}, runOpts{eager: true}).Fingerprint()
 		if coalesced != eager {
 			t.Errorf("%s/%s/%q: coalesced run diverged from eager reference:\n--- coalesced ---\n%s\n--- eager ---\n%s",
 				c.sys, c.proto, c.profile, coalesced, eager)
@@ -80,7 +80,7 @@ func TestCoalescingTelemetry(t *testing.T) {
 		t.Errorf("no events took the inline slot: %+v", st)
 	}
 
-	eager := run(determinismScenario(steering.MFlow, skb.TCP), Probes{}, true).Sched
+	eager := run(determinismScenario(steering.MFlow, skb.TCP), Probes{}, runOpts{eager: true}).Sched
 	if eager.Scheduled != st.Scheduled {
 		t.Fatalf("logical event counts differ: lazy %d eager %d", st.Scheduled, eager.Scheduled)
 	}

@@ -64,7 +64,7 @@ func TestSlowSplittingCoreStillOrdered(t *testing.T) {
 	// delivery order must be perfectly restored for TCP.
 	sc := quick(steering.MFlow, skb.TCP)
 	sc.Measure = 4 * sim.Millisecond
-	h := buildHost(sc.withDefaults(), Probes{}, hostOpts{})
+	h := testHost(sc.withDefaults(), Probes{})
 	// Kernel cores start after the app cores; slow one splitting core.
 	h.cores[sc.withDefaults().AppCores+2].Speed = 0.5
 	res := h.run()
@@ -165,7 +165,7 @@ func TestAutoDetectPromotesElephantFlow(t *testing.T) {
 	// the detector must promote the flow and splitting must engage.
 	sc := quick(steering.MFlow, skb.UDP)
 	sc.MFlow.AutoDetect = true
-	h := buildHost(sc.withDefaults(), Probes{}, hostOpts{})
+	h := testHost(sc.withDefaults(), Probes{})
 	res := h.run()
 	fp := h.flows[0]
 	if fp.detect == nil || !fp.detect.IsElephant(fp.id) {
@@ -187,7 +187,7 @@ func TestAutoDetectLeavesMiceUnsplit(t *testing.T) {
 	sc := quick(steering.MFlow, skb.UDP)
 	sc.MFlow.AutoDetect = true
 	sc.MFlow.ElephantBps = 50e9
-	h := buildHost(sc.withDefaults(), Probes{}, hostOpts{})
+	h := testHost(sc.withDefaults(), Probes{})
 	res := h.run()
 	fp := h.flows[0]
 	if fp.detect.IsElephant(fp.id) {

@@ -6,7 +6,6 @@ import (
 	"mflow/internal/fabric"
 	"mflow/internal/netdev"
 	"mflow/internal/packet"
-	"mflow/internal/pcap"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/traffic"
@@ -14,8 +13,8 @@ import (
 
 // fabState is the cross-host machinery of a fabric run: the underlay wire
 // model, the per-host VTEP FDBs, and the flow placement maps. All hosts
-// share one scheduler, one SKB pool and one PktID sequence, so the run is
-// a single deterministic event timeline.
+// share the run's runEnv, so the run is a single deterministic event
+// timeline.
 type fabState struct {
 	cfg   fabric.Config
 	sched *sim.Scheduler
@@ -28,8 +27,7 @@ type fabState struct {
 	bridges []*netdev.Bridge
 
 	// rxHost/txHost map a flow's wire identity to its placement; rxEdge is
-	// the flow's receive-side entry chain on its owner host (fault wrap →
-	// pcap capture → arrival sequencing → NIC ring).
+	// the flow's receive edge on its owner host (flowPath.edge).
 	rxHost map[uint64]int
 	txHost map[uint64]int
 	rxEdge map[uint64]traffic.Ingress
@@ -40,23 +38,16 @@ type fabState struct {
 	lastOK bool
 }
 
-// fabIngress is a sending flow's cross-host ingress chain: VTEP encap
-// (accounting always; real outer headers when the run carries wire
-// bytes), the TX host's FDB (unicast or head-end-replication flood),
-// then the underlay toward the owner host's NIC. It replaces the local
-// encapIngress→NIC chain that buildFlowTx wires on a single host.
+// fabIngress carries a sending flow's frames across the fabric: the TX
+// host's FDB (unicast or head-end-replication flood), then the underlay
+// toward the owner host's receive edge. On overlay paths the flow's VTEP
+// sits in front of it, as it sits in front of the receive edge on a single
+// host.
 type fabIngress struct {
-	fs      *fabState
-	tx, rx  int
-	overlay bool
-	src     packet.MAC // sending client endpoint
-	dst     packet.MAC // receiving container endpoint
-
-	// Outer (host-level) addressing for wire-mode byte encapsulation:
-	// the sending host's uplink identity and the owner host's.
-	outerSrcMAC, outerDstMAC packet.MAC
-	outerSrcIP, outerDstIP   packet.IPv4Addr
-	ipID                     uint16
+	fs     *fabState
+	tx, rx int
+	src    packet.MAC // sending client endpoint
+	dst    packet.MAC // receiving container endpoint
 }
 
 // Deliver implements traffic.Ingress. A false return means the underlay's
@@ -64,23 +55,11 @@ type fabIngress struct {
 func (fi *fabIngress) Deliver(s *skb.SKB) bool {
 	fs := fi.fs
 	now := fs.sched.Now()
-	if !fi.overlay {
-		// Host networking (native, Slim-TCP): no VTEP, no FDB — the frame
-		// unicasts straight to the owner host.
+	if !s.Encap {
+		// Host networking (native, Slim's TCP): no VTEP, no FDB — the
+		// frame unicasts straight to the owner host.
 		return fs.un.Send(now, fi.tx, fi.rx, s)
 	}
-	// TX-side VTEP encapsulation (the RX pipeline's VXLAN stage decaps).
-	// With wire bytes attached the outer headers are written into the
-	// skb's reserved headroom — the same in-place push the local vxlan
-	// device uses, so crossing the fabric adds no copy either.
-	if s.Data != nil {
-		fi.ipID++
-		hdr := s.Push(packet.OverlayOverhead)
-		packet.EncapVXLANInPlace(hdr, fi.outerSrcMAC, fi.outerDstMAC, fi.outerSrcIP, fi.outerDstIP,
-			uint32(s.FlowID), fi.ipID, s.Data[packet.OverlayOverhead:])
-	}
-	s.Encap = true
-	s.WireLen += packet.OverlayOverhead * s.Segs
 	br := fs.bridges[fi.tx]
 	_, known := br.LookupAt(fi.dst, now)
 	fs.lastOK = false
@@ -162,34 +141,23 @@ func (fs *fabState) syncObs(sc Scenario) {
 	}
 }
 
-// runFabric executes a multi-host scenario: N host shells on one shared
-// clock, flows placed across them by the fabric config, the TX side of
-// each flow wired through the VTEP/underlay chain into the RX host's NIC.
-func runFabric(sc Scenario, pr Probes, sched *sim.Scheduler) *Result {
+// runFabric executes a multi-host scenario: N host shells on the run's
+// shared environment, flows placed across them by the fabric config, the
+// TX side of each flow wired through the VTEP/underlay chain into the RX
+// host's receive edge.
+func runFabric(sc Scenario, pr Probes, env runEnv) *Result {
 	fcfg := sc.Fabric.WithDefaults()
 	n := fcfg.Hosts
-	var pool *skb.Pool
-	if !disablePool {
-		pool = &skb.Pool{}
-	}
-	var pktSeq uint64
-	// One capture stream for the whole run: every receiving host's NIC
-	// edge writes into it, so the file carries a single pcap header.
-	var capture *pcap.Writer
-	if sc.Capture != nil && sc.WireMode {
-		capture = pcap.NewWriter(sc.Capture)
-	}
-
 	fs := &fabState{
 		cfg:    fcfg,
-		sched:  sched,
-		un:     fabric.NewUnderlay(n, fcfg, sched),
+		sched:  env.sched,
+		un:     fabric.NewUnderlay(n, fcfg, env.sched),
 		rxHost: make(map[uint64]int),
 		txHost: make(map[uint64]int),
 		rxEdge: make(map[uint64]traffic.Ingress),
 	}
 	fs.un.DeliverTo = fs.deliver
-	fs.un.Drop = func(s *skb.SKB) { pool.Put(s) }
+	fs.un.Drop = env.pool.Put
 
 	// Pre-compute per-host receive counts so each shell sizes its NIC
 	// queues (and RSS pinning space) to the flows it actually serves.
@@ -204,73 +172,40 @@ func runFabric(sc Scenario, pr Probes, sched *sim.Scheduler) *Result {
 		if hsc.Flows == 0 {
 			hsc.Flows = 1 // TX-only host: keep one (idle) NIC queue
 		}
-		h := newHostShell(hsc, pr, hostOpts{
-			sched:   sched,
-			pool:    pool,
-			pktSeq:  &pktSeq,
-			capture: capture,
-			index:   i,
-			obsPfx:  fmt.Sprintf("h%d:", i),
-		})
+		h := newHostShell(hsc, pr, env, i)
 		h.ackExtra = fcfg.LinkLatency
 		fs.hosts = append(fs.hosts, h)
 		fs.attachBridge(i, n)
 	}
 
-	// Wire flows in global order (determinism): the RX pipeline on the
-	// owner host, the receive edge, then the sender on the TX host.
+	// Wire flows in global order (determinism): the RX pipeline and its
+	// receive edge on the owner host, then the sender on the TX host.
 	localIdx := make([]int, n)
 	for f := 0; f < sc.Flows; f++ {
 		txH, rxH := fcfg.Place(f)
 		id := uint64(f + 1)
 		fs.rxHost[id] = rxH
 		fs.txHost[id] = txH
-		rh := fs.hosts[rxH]
-		fp := rh.buildFlowRx(localIdx[rxH], id)
+		fp := fs.hosts[rxH].buildFlowRx(localIdx[rxH], id)
 		localIdx[rxH]++
-
-		var edge traffic.Ingress = rh.nic
-		if sc.Proto == skb.UDP && sc.UDPClients > 1 {
-			edge = &arrivalSeq{n: rh.nic}
-		}
-		if rh.capture != nil {
-			// Inside the fault wrapper, as on one host: the capture sees
-			// corrupted bytes and never sees dropped frames.
-			edge = captureTap{rh.capture, sched, edge}
-		}
-		if rh.inj != nil && sc.Faults.WireActive() {
-			edge = rh.inj.Wrap(edge)
-		}
-		fs.rxEdge[id] = edge
-
+		fs.rxEdge[id] = fp.edge
 		if sc.NoTraffic {
 			continue
 		}
-		var ingress traffic.Ingress = &fabIngress{
-			fs:      fs,
-			tx:      txH,
-			rx:      rxH,
-			overlay: isOverlay(sc.System, sc.Proto),
-			src:     fabric.ContainerMAC(id, txH, false),
-			dst:     fabric.ContainerMAC(id, rxH, true),
-			// Host-level outer addressing, one identity per host.
-			outerSrcMAC: packet.MAC{0x02, 0xee, 0, 0, 0, byte(txH + 1)},
-			outerDstMAC: packet.MAC{0x02, 0xee, 0, 0, 0, byte(rxH + 1)},
-			outerSrcIP:  packet.Addr4(10, 0, 0, byte(txH+1)),
-			outerDstIP:  packet.Addr4(10, 0, 0, byte(rxH+1)),
+		var net traffic.Ingress = &fabIngress{
+			fs:  fs,
+			tx:  txH,
+			rx:  rxH,
+			src: fabric.ContainerMAC(id, txH, false),
+			dst: fabric.ContainerMAC(id, rxH, true),
 		}
-		if sc.WireMode {
-			// Real bytes across the fabric: the builder lays the inner
-			// frame into headroom-reserved arenas (VTEP encap is the
-			// fabIngress's in-place push), and the owner host's socket
-			// verifies payload integrity after the remote decap.
-			ingress = newWireBuilder(ingress, id, false)
-			fp.sock.Verify = wireVerify(fp)
+		if isOverlay(sc.System, sc.Proto) {
+			net = newVTEP(net, 0xee, txH, rxH)
 		}
-		fs.hosts[txH].buildFlowTx(f, fp, ingress)
+		fs.hosts[txH].buildFlowTx(f, fp, net)
 	}
 	for _, h := range fs.hosts {
 		h.finish()
 	}
-	return runHosts(sc, sched, fs.hosts, fs)
+	return runHosts(sc, env.sched, fs.hosts, fs)
 }

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -61,7 +60,7 @@ func goldenScenarios() map[string]Scenario {
 // TestFingerprintGoldens pins Result.Fingerprint for every golden scenario
 // against testdata/fingerprints/<name>.txt: every window counter, the
 // whole-run totals and the full obs snapshot. Regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/overlay/ -run TestFingerprintGoldens
+// go test ./internal/overlay/ -run TestFingerprintGoldens -update
 // after an intentional model change.
 func TestFingerprintGoldens(t *testing.T) {
 	scs := goldenScenarios()
@@ -76,25 +75,7 @@ func TestFingerprintGoldens(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			sc.Obs = obs.New()
-			got := Run(sc).Fingerprint()
-			golden := filepath.Join(dir, name+".txt")
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
-			}
-			if got != string(want) {
-				t.Errorf("fingerprint drifted from %s; regenerate with UPDATE_GOLDEN=1 if intended:\n--- want ---\n%s\n--- got ---\n%s",
-					golden, want, got)
-			}
+			checkGolden(t, filepath.Join(dir, name+".txt"), []byte(Run(sc).Fingerprint()))
 		})
 	}
 }

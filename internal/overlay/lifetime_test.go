@@ -64,10 +64,7 @@ func runWatched(t *testing.T, schedFreed, poolFreed *atomic.Bool) *Result {
 		Warmup: 2e5, Measure: 5e5,
 		Obs: obs.New(), Tracer: trace.New(), CoreLog: &obs.CoreLog{},
 	}.withDefaults()
-	h := buildHost(sc, Probes{Causal: causal.NewProfiler(), Flight: causal.NewFlightRecorder()}, hostOpts{})
-	if h.pool == nil {
-		t.Skip("SKB pooling disabled (MFLOW_NOPOOL)")
-	}
+	h := testHost(sc, Probes{Causal: causal.NewProfiler(), Flight: causal.NewFlightRecorder()})
 	sentinel := &pendingSentinel{}
 	runtime.SetFinalizer(sentinel, func(*pendingSentinel) { schedFreed.Store(true) })
 	h.sched.AtHandler(sim.Time(math.MaxInt64), sentinel, nil)

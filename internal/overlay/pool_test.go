@@ -1,21 +1,31 @@
 package overlay
 
 import (
+	"fmt"
 	"testing"
 
+	"mflow/internal/fabric"
 	"mflow/internal/fault"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
 )
 
-// withPoolDisabled runs f with SKB pooling switched off process-wide,
-// restoring the previous state afterwards. Package tests run sequentially,
-// so flipping the package variable is safe.
-func withPoolDisabled(f func()) {
-	prev := disablePool
-	disablePool = true
-	defer func() { disablePool = prev }()
-	f()
+// testHost builds sc's single-host topology on a fresh runEnv, for tests
+// that poke at the host before or after running it.
+func testHost(sc Scenario, pr Probes) *host {
+	return buildHost(sc, pr, newRunEnv(sc, runOpts{}))
+}
+
+// assertPoolingInvisible runs mk's scenario pooled and unpooled and requires
+// bit-identical fingerprints.
+func assertPoolingInvisible(t *testing.T, label string, mk func() Scenario) {
+	t.Helper()
+	pooled := Run(mk()).Fingerprint()
+	unpooled := run(mk(), Probes{}, runOpts{unpooled: true}).Fingerprint()
+	if pooled != unpooled {
+		t.Errorf("%s: pooled run diverged from unpooled:\n--- pooled ---\n%s\n--- unpooled ---\n%s",
+			label, pooled, unpooled)
+	}
 }
 
 // TestPoolingDoesNotChangeResults is the pool's correctness oracle: a pooled
@@ -23,55 +33,59 @@ func withPoolDisabled(f func()) {
 // bit-identical fingerprints — throughput, latency quantiles, CPU samples
 // and the full obs snapshot. Pool.Get returns fully zeroed SKBs and nothing
 // in the simulation observes pointer identity, so recycling must be
-// invisible.
+// invisible. Wire-mode cells recycle byte arenas too, and fabric cells
+// share one pool across hosts and recycle underlay drops.
 func TestPoolingDoesNotChangeResults(t *testing.T) {
+	t.Parallel()
 	type cell struct {
-		sys   steering.System
-		proto skb.Proto
+		sys          steering.System
+		proto        skb.Proto
+		wire, fabric bool
 	}
 	cells := []cell{
-		{steering.Vanilla, skb.TCP},
-		{steering.Vanilla, skb.UDP},
-		{steering.MFlow, skb.TCP},
-		{steering.MFlow, skb.UDP},
+		{steering.Vanilla, skb.TCP, false, false},
+		{steering.Vanilla, skb.UDP, false, false},
+		{steering.MFlow, skb.TCP, false, false},
+		{steering.MFlow, skb.UDP, false, false},
 	}
 	if !testing.Short() {
 		cells = cells[:0]
 		for _, sys := range steering.ExtendedSystems {
 			for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
-				cells = append(cells, cell{sys, proto})
+				cells = append(cells, cell{sys, proto, false, false})
 			}
 		}
 	}
+	cells = append(cells,
+		cell{steering.MFlow, skb.TCP, true, false},
+		cell{steering.Vanilla, skb.UDP, true, false},
+		cell{steering.MFlow, skb.TCP, false, true},
+		cell{steering.MFlow, skb.TCP, true, true},
+		cell{steering.Native, skb.TCP, true, true},
+	)
 	for _, c := range cells {
-		pooled := Run(determinismScenario(c.sys, c.proto)).Fingerprint()
-		var unpooled string
-		withPoolDisabled(func() {
-			unpooled = Run(determinismScenario(c.sys, c.proto)).Fingerprint()
+		label := fmt.Sprintf("%s/%s wire=%v fabric=%v", c.sys, c.proto, c.wire, c.fabric)
+		assertPoolingInvisible(t, label, func() Scenario {
+			sc := determinismScenario(c.sys, c.proto)
+			sc.WireMode = c.wire
+			if c.fabric {
+				sc.Flows = 2
+				sc.Fabric = &fabric.Config{Hosts: 2}
+			}
+			return sc
 		})
-		if pooled != unpooled {
-			t.Errorf("%s/%s: pooled run diverged from unpooled:\n--- pooled ---\n%s\n--- unpooled ---\n%s",
-				c.sys, c.proto, pooled, unpooled)
-		}
 	}
 }
 
 // Fault-injected paths recycle at extra points (duplicate discards, OFO
 // pruning, corrupt-drop), so pin pooled/unpooled equality there too.
 func TestPoolingDoesNotChangeFaultResults(t *testing.T) {
-	plan := fault.ChaosProfiles()["random"]
-	mk := func() Scenario {
+	t.Parallel()
+	assertPoolingInvisible(t, "fault-injected", func() Scenario {
 		sc := determinismScenario(steering.MFlow, skb.TCP)
-		sc.Faults = plan
+		sc.Faults = fault.ChaosProfiles()["random"]
 		return sc
-	}
-	pooled := Run(mk()).Fingerprint()
-	var unpooled string
-	withPoolDisabled(func() { unpooled = Run(mk()).Fingerprint() })
-	if pooled != unpooled {
-		t.Errorf("fault-injected pooled run diverged from unpooled:\n--- pooled ---\n%s\n--- unpooled ---\n%s",
-			pooled, unpooled)
-	}
+	})
 }
 
 // TestPoolRecyclesDuringRun proves the pool is actually in the loop: over a
@@ -81,7 +95,7 @@ func TestPoolingDoesNotChangeFaultResults(t *testing.T) {
 func TestPoolRecyclesDuringRun(t *testing.T) {
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
 		sc := determinismScenario(steering.MFlow, proto).withDefaults()
-		h := buildHost(sc, Probes{}, hostOpts{})
+		h := testHost(sc, Probes{})
 		h.run()
 		if h.pool == nil {
 			t.Fatalf("%s: host built without a pool", proto)

@@ -22,22 +22,17 @@ func Run(sc Scenario) *Result {
 // RunProbed(sc, pr) and Run(sc) produce identical measured results (the
 // probed-vs-unprobed fingerprint test pins this).
 func RunProbed(sc Scenario, pr Probes) *Result {
-	return run(sc, pr, false)
+	return run(sc, pr, runOpts{})
 }
 
-// run executes a scenario on a fresh scheduler. eager selects the
-// scheduler's one-event-per-entry reference mode (sim.Scheduler.SetEager),
-// which the equivalence tests prove changes no result; it is an argument
-// rather than a Scenario field so it never enters a scenario's identity.
-func run(sc Scenario, pr Probes, eager bool) *Result {
+// run builds a scenario's topology on a fresh runEnv and executes it.
+func run(sc Scenario, pr Probes, opt runOpts) *Result {
 	sc = sc.withDefaults()
-	sched := sim.NewScheduler(sc.Seed)
-	sched.SetEager(eager)
+	env := newRunEnv(sc, opt)
 	if sc.Fabric.Enabled() {
-		return runFabric(sc, pr, sched)
+		return runFabric(sc, pr, env)
 	}
-	h := buildHost(sc, pr, hostOpts{sched: sched})
-	return runHosts(sc, h.sched, []*host{h}, nil)
+	return buildHost(sc, pr, env).run()
 }
 
 // combine sets every field of c to op(c's, o's): the field-wise add and

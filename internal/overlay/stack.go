@@ -1,10 +1,8 @@
 package overlay
 
 import (
-	"mflow/internal/packet"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
-	"mflow/internal/steering"
 	"mflow/internal/traffic"
 )
 
@@ -18,6 +16,23 @@ type Stack struct {
 	h    *host
 	seqs []traffic.SeqAlloc
 	msgs []uint64
+	wire []wireH // per flow: its VTEP → receive edge chain
+}
+
+// wireH hands a frame to a flow's wire chain once the one-way wire delay
+// has passed (Stack.Send's per-segment event), recycling frames the chain
+// rejects.
+type wireH struct {
+	h  *host
+	in traffic.Ingress
+}
+
+// Handle implements sim.Handler.
+func (w *wireH) Handle(arg any, _ sim.Time) {
+	s := arg.(*skb.SKB)
+	if !w.in.Deliver(s) {
+		w.h.retire(s)
+	}
 }
 
 // NewStack builds the receive topology of sc (Flows connections) with no
@@ -25,7 +40,11 @@ type Stack struct {
 func NewStack(sc Scenario) *Stack {
 	sc.NoTraffic = true
 	sc = sc.withDefaults()
-	st := &Stack{sc: sc, h: buildHost(sc, Probes{}, hostOpts{})}
+	h := buildHost(sc, Probes{}, newRunEnv(sc, runOpts{}))
+	st := &Stack{sc: sc, h: h, wire: make([]wireH, sc.Flows)}
+	for f, fp := range h.flows {
+		st.wire[f] = wireH{h, h.wireIngress(fp)}
+	}
 	st.seqs = make([]traffic.SeqAlloc, sc.Flows)
 	st.msgs = make([]uint64, sc.Flows)
 	return st
@@ -70,7 +89,6 @@ func (st *Stack) Send(f, size int) uint64 {
 	seq := st.seqs[f].Next(nseg)
 	now := h.sched.Now()
 	remaining := size
-	overlay := sc.System != steering.Native
 	for i := 0; i < nseg; i++ {
 		payload := remaining
 		if payload > segPayload {
@@ -87,17 +105,10 @@ func (st *Stack) Send(f, size int) uint64 {
 		s.MsgID = msgID
 		s.MsgEnd = i == nseg-1
 		s.SentAt = now
-		if overlay {
-			s.Encap = true
-			s.WireLen += packet.OverlayOverhead
-		}
-		h.sched.AfterHandler(sc.Costs.NetDelay, h.nicH, s)
+		h.sched.AfterHandler(sc.Costs.NetDelay, &st.wire[f], s)
 	}
 	return msgID
 }
 
 // DeliveredBytes reports flow f's cumulative bytes delivered to user space.
 func (st *Stack) DeliveredBytes(f int) uint64 { return st.h.flows[f].sock.Bytes }
-
-// Cores exposes the host's app+kernel cores for utilization reporting.
-func (st *Stack) Cores() []*sim.Core { return st.h.cores }

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"os"
 
 	"mflow/internal/causal"
 	mflow "mflow/internal/core"
@@ -23,13 +22,6 @@ import (
 
 const sameCoreWake = 200 // softirq re-raise latency on the same core
 
-// disablePool turns SKB pooling off process-wide. Tests flip it to prove
-// pooled and unpooled runs fingerprint identically; the MFLOW_NOPOOL
-// environment variable does the same for command-line A/B comparisons. It is
-// deliberately not a Scenario field: scenario keys (and therefore run
-// fingerprints) must not depend on an engine-internal toggle.
-var disablePool = os.Getenv("MFLOW_NOPOOL") != ""
-
 // udpBacklogCap bounds intermediate queues on UDP paths
 // (netdev_max_backlog-style); TCP paths are window-limited instead.
 const udpBacklogCap = 1000
@@ -48,18 +40,16 @@ type host struct {
 	inj     *fault.Injector // nil unless sc.Faults is enabled
 	ov      *ovState        // nil unless sc.Overload is enabled
 
-	// pool recycles the run's SKBs (nil when pooling is disabled). One
-	// pool per host per run — never shared across Schedulers.
+	// pool recycles the run's SKBs: the runEnv's, shared by every host of
+	// the run (nil on unpooled runs).
 	pool *skb.Pool
 	// prof / flight are the run's probes (both nil for unprobed runs; see
 	// Probes). They observe the pipeline through plain func hooks and never
 	// alter its behaviour.
 	prof   *causal.Profiler
 	flight *causal.FlightRecorder
-	// ackFree recycles ackRelay events; nicH is the closure-free wire
-	// delivery handler used by Stack.Send.
+	// ackFree recycles ackRelay events.
 	ackFree []*ackRelay
-	nicH    nicDeliverH
 
 	// Fabric-mode fields; both zero for single-host runs. obsPfx prefixes
 	// the host's Set-based registry names ("h0:nic_received") so N hosts
@@ -105,19 +95,6 @@ func (h *host) putAck(a *ackRelay) {
 	h.ackFree = append(h.ackFree, a)
 }
 
-// nicDeliverH delivers a frame to the host's NIC after the one-way wire
-// delay (Stack.Send's per-segment event), recycling frames a full ring
-// rejects.
-type nicDeliverH struct{ h *host }
-
-// Handle implements sim.Handler.
-func (d nicDeliverH) Handle(arg any, _ sim.Time) {
-	s := arg.(*skb.SKB)
-	if !d.h.nic.Deliver(s) {
-		d.h.retire(s)
-	}
-}
-
 // retire is the host's terminal recycle funnel: it releases any overload
 // memory charge the skb still carries, then returns it to the pool. Both
 // steps tolerate absence (no overload manager, no pool), so every terminal
@@ -142,6 +119,11 @@ type flowPath struct {
 	vx     *netdev.VXLAN
 	stops  []func()
 
+	// edge is the flow's receive edge on its owner host: the lossy-link
+	// tap, the pcap capture and arrival sequencing in front of the NIC
+	// ring. Every frame sent on the flow enters the owner host here.
+	edge traffic.Ingress
+
 	// arriveErrs records reassembler Arrive failures (missing micro-flow
 	// stamps) instead of panicking mid-run; arriveErr keeps the first.
 	arriveErrs uint64
@@ -157,15 +139,43 @@ func (fp *flowPath) recordArriveErr(err error) {
 	}
 }
 
-// encapIngress models the sending host's VxLAN encapsulation: frames arrive
-// at the receiver's pNIC already wrapped in outer headers.
-type encapIngress struct{ inner traffic.Ingress }
+// vtep is a flow's sending-side VxLAN tunnel endpoint: frames reach the
+// receiver's pNIC wrapped in outer headers, which its vxlan device removes
+// again. Single-host runs chain it in front of the flow's receive edge,
+// fabric runs in front of the sending host's FDB.
+type vtep struct {
+	next           traffic.Ingress
+	srcMAC, dstMAC packet.MAC
+	srcIP, dstIP   packet.IPv4Addr
+	ipID           uint16
+}
 
-// Deliver implements traffic.Ingress.
-func (e encapIngress) Deliver(s *skb.SKB) bool {
+// newVTEP returns the tunnel endpoint from host tx to host rx: each host's
+// outer identity is MAC 02:oui:00:00:00:(i+1) and IP 10.0.0.(i+1).
+func newVTEP(next traffic.Ingress, oui byte, tx, rx int) *vtep {
+	return &vtep{
+		next:   next,
+		srcMAC: packet.MAC{0x02, oui, 0, 0, 0, byte(tx + 1)},
+		dstMAC: packet.MAC{0x02, oui, 0, 0, 0, byte(rx + 1)},
+		srcIP:  packet.Addr4(10, 0, 0, byte(tx+1)),
+		dstIP:  packet.Addr4(10, 0, 0, byte(rx+1)),
+	}
+}
+
+// Deliver implements traffic.Ingress: it adds the outer headers'
+// accounting and, when the skb carries wire bytes, pushes real outer
+// headers into its reserved headroom — in place, so encapsulation adds no
+// copy.
+func (v *vtep) Deliver(s *skb.SKB) bool {
+	if s.Data != nil {
+		v.ipID++
+		hdr := s.Push(packet.OverlayOverhead)
+		packet.EncapVXLANInPlace(hdr, v.srcMAC, v.dstMAC, v.srcIP, v.dstIP,
+			uint32(s.FlowID), v.ipID, s.Data[packet.OverlayOverhead:])
+	}
 	s.Encap = true
 	s.WireLen += packet.OverlayOverhead * s.Segs
-	return e.inner.Deliver(s)
+	return v.next.Deliver(s)
 }
 
 // captureTap streams every wire frame entering a NIC into the run's pcap
@@ -237,23 +247,40 @@ func (h *host) newClientCore() *sim.Core {
 	return c
 }
 
-// hostOpts carries fabric-mode construction overrides; the zero value is
-// the single-host default (private clock, private pool, private PktID
-// sequence, private capture stream, host index 0, unprefixed registry
-// names).
-type hostOpts struct {
-	sched   *sim.Scheduler // non-nil: share an existing DES clock
-	pool    *skb.Pool      // non-nil: share one SKB pool across hosts
-	pktSeq  *uint64        // non-nil: share one PktID sequence across NICs
-	capture *pcap.Writer   // non-nil: share one pcap stream across hosts
-	index   int            // the host's fabric index (its cores' Host)
-	obsPfx  string
+// runOpts are a run's engine options. They are arguments rather than
+// Scenario fields, so they never enter a scenario's identity; the
+// equivalence tests prove neither changes any result.
+type runOpts struct {
+	eager    bool // the scheduler's reference mode (sim.Scheduler.SetEager)
+	unpooled bool // allocate every SKB fresh instead of recycling
 }
 
-// buildHost constructs the complete topology for a scenario, attaching any
-// probes after the topology is fully wired.
-func buildHost(sc Scenario, pr Probes, opt hostOpts) *host {
-	h := newHostShell(sc, pr, opt)
+// runEnv is the state every host of one run shares: the DES clock, the SKB
+// pool, the NICs' PktID sequence and the pcap capture stream (a single
+// file header however many hosts write into it).
+type runEnv struct {
+	sched   *sim.Scheduler
+	pool    *skb.Pool    // nil on unpooled runs
+	pktSeq  *uint64      // PktIDs stay unique run-wide
+	capture *pcap.Writer // nil unless the scenario captures wire bytes
+}
+
+func newRunEnv(sc Scenario, opt runOpts) runEnv {
+	env := runEnv{sched: sim.NewScheduler(sc.Seed), pktSeq: new(uint64)}
+	env.sched.SetEager(opt.eager)
+	if !opt.unpooled {
+		env.pool = &skb.Pool{}
+	}
+	if sc.Capture != nil && sc.WireMode {
+		env.capture = pcap.NewWriter(sc.Capture)
+	}
+	return env
+}
+
+// buildHost constructs the complete topology for a single-host scenario,
+// attaching any probes after the topology is fully wired.
+func buildHost(sc Scenario, pr Probes, env runEnv) *host {
+	h := newHostShell(sc, pr, env, 0)
 	for f := 0; f < sc.Flows; f++ {
 		h.buildFlow(f)
 	}
@@ -261,21 +288,15 @@ func buildHost(sc Scenario, pr Probes, opt hostOpts) *host {
 	return h
 }
 
-// newHostShell builds one host's cores, NIC and per-host subsystems —
+// newHostShell builds host index's cores, NIC and per-host subsystems —
 // everything except the flows (built per flow index) and the final wiring
-// pass (finish). Fabric runs call it once per host against a shared clock.
-func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
-	sched := opt.sched
-	if sched == nil {
-		sched = sim.NewScheduler(sc.Seed)
-	}
-	h := &host{sc: sc, sched: sched, obsPfx: opt.obsPfx}
+// pass (finish). Fabric runs call it once per host; their hosts prefix
+// their registry names with "h<index>:".
+func newHostShell(sc Scenario, pr Probes, env runEnv, index int) *host {
+	h := &host{sc: sc, sched: env.sched, pool: env.pool, capture: env.capture}
 	h.prof, h.flight = pr.Causal, pr.Flight
-	h.nicH = nicDeliverH{h}
-	if opt.pool != nil {
-		h.pool = opt.pool
-	} else if !disablePool {
-		h.pool = &skb.Pool{}
+	if sc.Fabric.Enabled() {
+		h.obsPfx = fmt.Sprintf("h%d:", index)
 	}
 	if sc.Faults.Enabled() {
 		h.inj = fault.NewInjector(*sc.Faults, sc.Seed)
@@ -289,7 +310,7 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 	total := sc.AppCores + sc.KernelCores
 	h.cores = sim.NewCores(total, h.sched)
 	for _, c := range h.cores {
-		c.Host = opt.index
+		c.Host = index
 	}
 	for _, c := range h.cores[sc.AppCores:] {
 		c.JitterAmp = cfg.JitterAmp
@@ -311,13 +332,7 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 	nicCfg := cfg.NIC
 	nicCfg.Queues = sc.Flows
 	h.nic = nic.New(nicCfg, h.sched)
-	if opt.pktSeq != nil {
-		h.nic.PktSeq = opt.pktSeq
-	}
-	h.capture = opt.capture
-	if h.capture == nil && sc.Capture != nil && sc.WireMode {
-		h.capture = pcap.NewWriter(sc.Capture)
-	}
+	h.nic.PktSeq = env.pktSeq
 	return h
 }
 
@@ -361,7 +376,16 @@ func (h *host) buildFlow(f int) {
 	if h.sc.NoTraffic {
 		return
 	}
-	h.buildFlowTx(f, fp, nil)
+	h.buildFlowTx(f, fp, h.wireIngress(fp))
+}
+
+// wireIngress returns the single-host path from a flow's senders to its
+// receive edge: through the flow's VTEP on overlay paths.
+func (h *host) wireIngress(fp *flowPath) traffic.Ingress {
+	if !isOverlay(h.sc.System, h.sc.Proto) {
+		return fp.edge
+	}
+	return newVTEP(fp.edge, 0xaa, 0, 1)
 }
 
 // buildFlowRx wires a flow's receive pipeline. f is the host-local flow
@@ -416,49 +440,37 @@ func (h *host) buildFlowRx(f int, id uint64) *flowPath {
 			first.worker.Gate = func(*skb.SKB) bool { return !h.inj.DropRing() }
 		}
 	}
+
+	// The receive edge. When several UDP clients share the flow, sequence
+	// numbers only make sense in NIC arrival order. The lossy-link tap
+	// sits outermost: in wire mode corruption flips real bytes before the
+	// capture sees them, and dropped frames are never captured nor take
+	// an arrival sequence number.
+	fp.edge = h.nic
+	if sc.Proto == skb.UDP && sc.UDPClients > 1 {
+		fp.edge = &arrivalSeq{n: h.nic}
+	}
+	if h.capture != nil {
+		fp.edge = captureTap{h.capture, h.sched, fp.edge}
+	}
+	if h.inj != nil && sc.Faults.WireActive() {
+		fp.edge = h.inj.Wrap(fp.edge)
+	}
 	return fp
 }
 
-// buildFlowTx wires a flow's sender(s) on this host. A nil ingress builds
-// the classic local chain into h.nic (encap accounting, wire faults, wire
-// mode); fabric runs pass the cross-host chain (VTEP → underlay → remote
-// NIC) instead, with fp belonging to the remote receiving host.
-func (h *host) buildFlowTx(f int, fp *flowPath, ingress traffic.Ingress) {
+// buildFlowTx wires a flow's sender(s) on this host. net carries their
+// frames to fp's receive edge: the local VTEP chain on a single host, the
+// cross-host chain (VTEP → FDB → underlay) on a fabric, where fp belongs to
+// the remote receiving host. In wire mode the senders' frames get real
+// bytes first, and fp's socket verifies them on delivery.
+func (h *host) buildFlowTx(f int, fp *flowPath, net traffic.Ingress) {
 	sc := h.sc
 	cfg := sc.Costs
 	overlay := isOverlay(sc.System, sc.Proto)
-
-	if ingress == nil {
-		ingress = h.nic
-		if sc.Proto == skb.UDP && sc.UDPClients > 1 {
-			// Several clients share the flow: sequence numbers only make
-			// sense in NIC arrival order.
-			ingress = &arrivalSeq{n: h.nic}
-		}
-		// The lossy-link tap sits between frame construction and NIC
-		// arrival: in wire mode corruption flips real bytes (after the
-		// builder attaches them, before the pcap capture sees them), and
-		// dropped frames never consume an arrival sequence number.
-		wrapFault := func(in traffic.Ingress) traffic.Ingress {
-			if h.inj != nil && sc.Faults.WireActive() {
-				return h.inj.Wrap(in)
-			}
-			return in
-		}
-		switch {
-		case sc.WireMode:
-			// Real bytes end to end; the builder also performs the
-			// encapsulation accounting.
-			if h.capture != nil {
-				ingress = captureTap{h.capture, h.sched, ingress}
-			}
-			ingress = newWireBuilder(wrapFault(ingress), fp.id, overlay)
-			fp.sock.Verify = wireVerify(fp)
-		case overlay:
-			ingress = encapIngress{wrapFault(ingress)}
-		default:
-			ingress = wrapFault(ingress)
-		}
+	if sc.WireMode {
+		net = newWireBuilder(net, fp.id)
+		fp.sock.Verify = wireVerify
 	}
 	// Explicit sender-side pipeline: the sender's syscall work and the
 	// egress chain replace the aggregate client-cost model.
@@ -484,7 +496,7 @@ func (h *host) buildFlowTx(f int, fp *flowPath, ingress traffic.Ingress) {
 			Window:   sc.Window,
 			Core:     appCore,
 			Sched:    h.sched,
-			Net:      txWrap(ingress, appCore),
+			Net:      txWrap(net, appCore),
 			NetDelay: cfg.NetDelay,
 			Cost:     clientCostTCP,
 			Pool:     h.pool,
@@ -529,7 +541,7 @@ func (h *host) buildFlowTx(f int, fp *flowPath, ingress traffic.Ingress) {
 				MsgSize:  sc.MsgSize,
 				Core:     appCore,
 				Sched:    h.sched,
-				Net:      txWrap(ingress, appCore),
+				Net:      txWrap(net, appCore),
 				NetDelay: cfg.NetDelay,
 				Cost:     clientCostUDP,
 				Seq:      seq,

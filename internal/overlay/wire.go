@@ -9,44 +9,33 @@ import (
 )
 
 // wireBuilder materializes real wire bytes for every segment a sender
-// emits: an inner Ethernet/IPv4/TCP-or-UDP frame, wrapped in a genuine
-// RFC 7348 VxLAN encapsulation for overlay scenarios. The VxLAN device then
-// performs byte-level decapsulation and the socket verifies the payload on
-// delivery — end-to-end validation that the simulated data path manipulates
-// packets correctly, not just their cost accounting.
+// emits: an inner Ethernet/IPv4/TCP-or-UDP frame, which the flow's VTEP
+// then wraps in a genuine RFC 7348 VxLAN encapsulation on overlay paths.
+// The VxLAN device performs byte-level decapsulation and the socket
+// verifies the payload on delivery — end-to-end validation that the
+// simulated data path manipulates packets correctly, not just their cost
+// accounting.
 type wireBuilder struct {
-	n       traffic.Ingress
-	overlay bool
-
-	src, dst           packet.FlowAddr
-	outerSrc, outerDst packet.IPv4Addr
-	outerSrcMAC        packet.MAC
-	outerDstMAC        packet.MAC
-	vni                uint32
-	ipID               uint16
+	n        traffic.Ingress
+	src, dst packet.FlowAddr
+	ipID     uint16
 }
 
-func newWireBuilder(n traffic.Ingress, flowID uint64, overlay bool) *wireBuilder {
+func newWireBuilder(n traffic.Ingress, flowID uint64) *wireBuilder {
 	b := byte(flowID)
 	return &wireBuilder{
-		n:       n,
-		overlay: overlay,
+		n: n,
 		src: packet.FlowAddr{
 			MAC: packet.MAC{0x02, 0, 0, 0, 1, b}, IP: packet.Addr4(172, 17, 1, b), Port: 40000 + uint16(flowID),
 		},
 		dst: packet.FlowAddr{
 			MAC: packet.MAC{0x02, 0, 0, 0, 2, b}, IP: packet.Addr4(172, 17, 2, b), Port: 5001,
 		},
-		outerSrc:    packet.Addr4(10, 0, 0, 1),
-		outerDst:    packet.Addr4(10, 0, 0, 2),
-		outerSrcMAC: packet.MAC{0x02, 0xaa, 0, 0, 0, 1},
-		outerDstMAC: packet.MAC{0x02, 0xaa, 0, 0, 0, 2},
-		vni:         uint32(flowID),
 	}
 }
 
-// Deliver implements traffic.Ingress: it attaches the wire bytes, adjusts
-// encapsulation accounting, and forwards to the NIC.
+// Deliver implements traffic.Ingress: it attaches the inner frame's bytes
+// and forwards it toward the NIC.
 //
 // The frame is built inside out over the skb's pooled arena, kernel
 // style: Reserve positions an empty window behind headroom sized for
@@ -59,10 +48,9 @@ func (w *wireBuilder) Deliver(s *skb.SKB) bool {
 	if s.Proto == skb.TCP {
 		innerHdr = packet.InnerTCPHeaderLen
 	}
-	// Always reserve room for the outer headers too: even when this
-	// builder does not encapsulate (overlay false), a downstream VTEP
-	// (the fabric's fabIngress) may push them, and headroom is cheaper
-	// than a grow-and-copy per frame.
+	// Always reserve room for the outer headers too: a downstream VTEP
+	// may push them, and headroom is cheaper than a grow-and-copy per
+	// frame.
 	s.Reserve(packet.OverlayOverhead+innerHdr, s.PayloadLen)
 	traffic.FillPattern(s.Put(s.PayloadLen), s.Seq)
 	w.ipID++
@@ -73,41 +61,32 @@ func (w *wireBuilder) Deliver(s *skb.SKB) bool {
 	} else {
 		packet.BuildUDPFrameInPlace(hdr, w.src, w.dst, w.ipID, s.PayloadLen)
 	}
-	if w.overlay {
-		outer := s.Push(packet.OverlayOverhead)
-		packet.EncapVXLANInPlace(outer, w.outerSrcMAC, w.outerDstMAC, w.outerSrc, w.outerDst,
-			w.vni, w.ipID, s.Data[packet.OverlayOverhead:])
-		s.Encap = true
-		s.WireLen += packet.OverlayOverhead * s.Segs
-	}
 	return w.n.Deliver(s)
 }
 
-// wireVerify returns the socket-side integrity check for wire-mode runs:
+// wireVerify is the socket-side integrity check for wire-mode runs:
 // the delivered skb must be decapsulated and its frames' transport payloads
 // must cover exactly the bytes the accounting says were delivered. This is
 // the stream's single terminal reader: it walks the head window and each
 // chained GRO frag part-wise, so even here the super-packet is never
 // materialized into one contiguous buffer.
-func wireVerify(_ *flowPath) func(*skb.SKB) error {
-	return func(s *skb.SKB) error {
-		if s.Encap {
-			return fmt.Errorf("wire: skb reached the socket still encapsulated: %v", s)
-		}
-		if s.Data == nil {
-			return fmt.Errorf("wire: skb lost its data: %v", s)
-		}
-		got := 0
-		for i, n := 0, s.Parts(); i < n; i++ {
-			pb, err := packet.PayloadBytes(s.Part(i))
-			if err != nil {
-				return fmt.Errorf("wire: corrupt frame at socket (part %d/%d): %w", i, n, err)
-			}
-			got += pb
-		}
-		if got != s.PayloadLen {
-			return fmt.Errorf("wire: payload %d bytes, accounting says %d", got, s.PayloadLen)
-		}
-		return nil
+func wireVerify(s *skb.SKB) error {
+	if s.Encap {
+		return fmt.Errorf("wire: skb reached the socket still encapsulated: %v", s)
 	}
+	if s.Data == nil {
+		return fmt.Errorf("wire: skb lost its data: %v", s)
+	}
+	got := 0
+	for i, n := 0, s.Parts(); i < n; i++ {
+		pb, err := packet.PayloadBytes(s.Part(i))
+		if err != nil {
+			return fmt.Errorf("wire: corrupt frame at socket (part %d/%d): %w", i, n, err)
+		}
+		got += pb
+	}
+	if got != s.PayloadLen {
+		return fmt.Errorf("wire: payload %d bytes, accounting says %d", got, s.PayloadLen)
+	}
+	return nil
 }

@@ -37,7 +37,7 @@ func TestWireModeEndToEndIntegrity(t *testing.T) {
 
 func TestWireModeDecapsulatesBytes(t *testing.T) {
 	sc := wireQuick(steering.MFlow, skb.TCP).withDefaults()
-	h := buildHost(sc, Probes{}, hostOpts{})
+	h := testHost(sc, Probes{})
 	h.run()
 	fp := h.flows[0]
 	if fp.vx == nil || fp.vx.Decapped == 0 {

@@ -171,19 +171,3 @@ func BenchmarkLaneAt(b *testing.B) {
 		s.Run()
 	}
 }
-
-// BenchmarkCoreRun measures one Core.Run completion round-trip on the
-// recycled carrier freelist. Pinned at 0 allocs/op by the bench gate.
-func BenchmarkCoreRun(b *testing.B) {
-	s := NewScheduler(1)
-	c := NewCore(0, s)
-	fn := func(end Time) {}
-	c.Run(10, "bench", fn) // warm the tag map and carrier freelist
-	s.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Run(10, "bench", fn)
-		s.Run()
-	}
-}

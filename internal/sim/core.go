@@ -42,10 +42,6 @@ type Core struct {
 
 	sched     *Scheduler
 	busyUntil Time
-	// runFree recycles Run's completion-event carriers: a carrier frees
-	// itself before invoking its continuation, so a handful cover any
-	// outstanding depth and steady-state Run calls schedule closure-free.
-	runFree []*coreRunEvt
 	// Tag accounting: tagIdx maps a tag to its slot in tagVals (stable,
 	// insertion-ordered), and the (lastTag, lastIdx) memo skips even the
 	// map lookup when consecutive Execs charge the same tag — batch loops
@@ -136,41 +132,6 @@ func (c *Core) Exec(d Duration, tag string) (start, end Time) {
 		c.ExecLog(tag, start, end)
 	}
 	return start, end
-}
-
-// coreRunEvt carries one Run continuation through the scheduler's
-// closure-free path. Handle returns the carrier to the core's freelist
-// before invoking the continuation, so a continuation that itself calls Run
-// reuses the same carrier instead of growing the list.
-type coreRunEvt struct {
-	c  *Core
-	fn func(end Time)
-}
-
-// Handle implements Handler.
-func (e *coreRunEvt) Handle(_ any, now Time) {
-	fn := e.fn
-	e.fn = nil
-	e.c.runFree = append(e.c.runFree, e)
-	fn(now)
-}
-
-// Run executes work costing d on the core and schedules fn at the completion
-// instant. fn receives that instant. The completion event rides a recycled
-// handler carrier, not a fresh closure: Run itself allocates nothing (the
-// caller's fn may, if it captures state).
-func (c *Core) Run(d Duration, tag string, fn func(end Time)) {
-	_, end := c.Exec(d, tag)
-	var e *coreRunEvt
-	if n := len(c.runFree); n > 0 {
-		e = c.runFree[n-1]
-		c.runFree[n-1] = nil
-		c.runFree = c.runFree[:n-1]
-	} else {
-		e = &coreRunEvt{c: c}
-	}
-	e.fn = fn
-	c.sched.AtHandler(end, e, nil)
 }
 
 // BusyTotal returns the cumulative busy time charged to the core.

@@ -54,12 +54,15 @@ func TestCoreSpeedScalesCost(t *testing.T) {
 	s.Run()
 }
 
+// TestCoreRunSchedulesCompletion pins the completion idiom: Exec returns
+// the work's end instant and the caller schedules its continuation there.
 func TestCoreRunSchedulesCompletion(t *testing.T) {
 	s := NewScheduler(1)
 	c := NewCore(1, s)
 	var doneAt Time = -1
 	s.At(0, func() {
-		c.Run(100, "a", func(end Time) { doneAt = s.Now() })
+		_, end := c.Exec(100, "a")
+		s.At(end, func() { doneAt = s.Now() })
 	})
 	s.Run()
 	if doneAt != 100 {

@@ -57,26 +57,6 @@ func TestInlineSlotOvertaken(t *testing.T) {
 	}
 }
 
-// TestCoreRunDoesNotAllocate pins Core.Run's recycled completion carrier: a
-// steady-state Run with a prebound continuation allocates nothing.
-func TestCoreRunDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is perturbed under -race")
-	}
-	s := NewScheduler(1)
-	c := NewCore(0, s)
-	fn := func(end Time) {}
-	c.Run(10, "warm", fn) // warm the tag map and carrier freelist
-	s.Run()
-	avg := testing.AllocsPerRun(1000, func() {
-		c.Run(10, "warm", fn)
-		s.Run()
-	})
-	if avg != 0 {
-		t.Fatalf("Core.Run allocates %.1f/op, want 0", avg)
-	}
-}
-
 // TestWorkerStealQueueRecyclesBuffer verifies StealQueue hands back the live
 // queue buffer (no copy) and the worker keeps functioning afterwards.
 func TestWorkerStealQueueRecyclesBuffer(t *testing.T) {

@@ -8,6 +8,7 @@ package skb
 
 import (
 	"fmt"
+	"strings"
 
 	"mflow/internal/sim"
 )
@@ -27,6 +28,17 @@ func (p Proto) String() string {
 		return "TCP"
 	}
 	return "UDP"
+}
+
+// ParseProto parses a transport name, case-insensitively: tcp or udp.
+func ParseProto(name string) (Proto, error) {
+	switch strings.ToLower(name) {
+	case "tcp":
+		return TCP, nil
+	case "udp":
+		return UDP, nil
+	}
+	return 0, fmt.Errorf("skb: unknown proto %q (want tcp or udp)", name)
 }
 
 // SKB is one unit of packet-processing work. Before GRO it represents a

@@ -167,3 +167,16 @@ func TestSKBString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+func TestParseProto(t *testing.T) {
+	for name, want := range map[string]Proto{"tcp": TCP, "TCP": TCP, "udp": UDP, "Udp": UDP} {
+		if got, err := ParseProto(name); err != nil || got != want {
+			t.Errorf("ParseProto(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"sctp", "", "tcp "} {
+		if _, err := ParseProto(name); err == nil {
+			t.Errorf("ParseProto(%q) accepted an unknown transport", name)
+		}
+	}
+}
