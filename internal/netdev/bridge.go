@@ -1,6 +1,8 @@
 package netdev
 
 import (
+	"encoding/binary"
+
 	"mflow/internal/packet"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
@@ -20,7 +22,7 @@ type fdbEntry struct {
 // next frame toward them floods again.
 type Bridge struct {
 	ports []func(*skb.SKB)
-	fdb   map[packet.MAC]fdbEntry
+	fdb   map[uint64]fdbEntry // keyed by macKey
 
 	// MaxAge is the FDB ageing horizon; zero disables ageing (entries are
 	// permanent, the pre-fabric behaviour).
@@ -38,7 +40,13 @@ type Bridge struct {
 
 // NewBridge returns an empty bridge.
 func NewBridge() *Bridge {
-	return &Bridge{fdb: make(map[packet.MAC]fdbEntry)}
+	return &Bridge{fdb: make(map[uint64]fdbEntry)}
+}
+
+// macKey packs a MAC into a uint64 one-to-one, so FDB lookups take the
+// runtime's fast 64-bit map path instead of hashing a 6-byte array.
+func macKey(m packet.MAC) uint64 {
+	return uint64(binary.BigEndian.Uint16(m[:2]))<<32 | uint64(binary.BigEndian.Uint32(m[2:]))
 }
 
 // AttachPort adds a port whose egress is deliver and returns its number.
@@ -49,27 +57,29 @@ func (b *Bridge) AttachPort(deliver func(*skb.SKB)) int {
 
 // LearnAt records (or refreshes) src→port at the given time.
 func (b *Bridge) LearnAt(src packet.MAC, port int, now sim.Time) {
-	if _, ok := b.fdb[src]; !ok {
+	k := macKey(src)
+	if _, ok := b.fdb[k]; !ok {
 		b.Learned++
 	}
-	b.fdb[src] = fdbEntry{port: port, seen: now}
+	b.fdb[k] = fdbEntry{port: port, seen: now}
 }
 
 // Lookup returns the port a MAC was learned on, ignoring ageing.
 func (b *Bridge) Lookup(mac packet.MAC) (int, bool) {
-	e, ok := b.fdb[mac]
+	e, ok := b.fdb[macKey(mac)]
 	return e.port, ok
 }
 
 // LookupAt returns the port a MAC was learned on, expiring the entry first
 // if it aged out before now.
 func (b *Bridge) LookupAt(mac packet.MAC, now sim.Time) (int, bool) {
-	e, ok := b.fdb[mac]
+	k := macKey(mac)
+	e, ok := b.fdb[k]
 	if !ok {
 		return 0, false
 	}
 	if b.MaxAge > 0 && now.Sub(e.seen) > b.MaxAge {
-		delete(b.fdb, mac)
+		delete(b.fdb, k)
 		b.Aged++
 		return 0, false
 	}
@@ -97,37 +107,5 @@ func (b *Bridge) ForwardAt(inPort int, src, dst packet.MAC, s *skb.SKB, now sim.
 		if i != inPort {
 			deliver(s)
 		}
-	}
-}
-
-// Veth is a virtual Ethernet pair: frames transmitted into one end appear at
-// the other end's receive hook, which is how a container's network namespace
-// is stitched to the host bridge.
-type Veth struct {
-	// Name tags the pair in accounting.
-	Name string
-	// HostRx/ContainerRx receive frames crossing the pair in each
-	// direction.
-	HostRx      func(*skb.SKB)
-	ContainerRx func(*skb.SKB)
-
-	// ToContainer / ToHost count crossings.
-	ToContainer uint64
-	ToHost      uint64
-}
-
-// XmitToContainer carries a frame from the host end into the container.
-func (v *Veth) XmitToContainer(s *skb.SKB) {
-	v.ToContainer++
-	if v.ContainerRx != nil {
-		v.ContainerRx(s)
-	}
-}
-
-// XmitToHost carries a frame from the container end out to the host.
-func (v *Veth) XmitToHost(s *skb.SKB) {
-	v.ToHost++
-	if v.HostRx != nil {
-		v.HostRx(s)
 	}
 }

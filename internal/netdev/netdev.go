@@ -1,6 +1,7 @@
 // Package netdev implements the software network devices that make up a
 // container overlay network data path: the VxLAN tunnel device
-// (encapsulation/decapsulation), the learning Linux bridge, and veth pairs.
+// (encapsulation/decapsulation) and the learning Linux bridge; a veth pair
+// crossing is a cost-only Device.
 // Each device couples a semantic action (what happens to the packet) with a
 // cost model (how long the softirq stage takes), so correctness is testable
 // on real state/bytes while performance emerges from the simulation.

@@ -148,23 +148,6 @@ func TestBridgeLearnsAndForwards(t *testing.T) {
 	}
 }
 
-func TestVethCrossings(t *testing.T) {
-	var hostGot, contGot int
-	v := &Veth{Name: "veth0"}
-	v.HostRx = func(*skb.SKB) { hostGot++ }
-	v.ContainerRx = func(*skb.SKB) { contGot++ }
-	v.XmitToContainer(&skb.SKB{})
-	v.XmitToContainer(&skb.SKB{})
-	v.XmitToHost(&skb.SKB{})
-	if contGot != 2 || hostGot != 1 {
-		t.Errorf("crossings %d/%d, want 2/1", contGot, hostGot)
-	}
-	if v.ToContainer != 2 || v.ToHost != 1 {
-		t.Errorf("counters %d/%d", v.ToContainer, v.ToHost)
-	}
-	(&Veth{}).XmitToHost(&skb.SKB{}) // nil hooks must not panic
-}
-
 func TestBridgeFDBAging(t *testing.T) {
 	b := NewBridge()
 	b.MaxAge = 1000
@@ -213,5 +196,93 @@ func TestBridgeFDBAging(t *testing.T) {
 	b2.LearnAt(macA, 0, 0)
 	if _, ok := b2.LookupAt(macA, 1<<60); !ok || b2.Aged != 0 {
 		t.Error("MaxAge=0 bridge expired an entry")
+	}
+}
+
+// TestBridgeFDBKeysAreDistinct: the packed FDB key is one-to-one, so MACs
+// that differ in any single byte — the ones a lossy packing would merge —
+// learn, refresh, age and flood as independent entries.
+func TestBridgeFDBKeysAreDistinct(t *testing.T) {
+	var macs []packet.MAC
+	seen := map[uint64]packet.MAC{}
+	for pos := 0; pos < 6; pos++ {
+		for v := 1; v < 256; v++ {
+			var m packet.MAC
+			m[pos] = byte(v)
+			macs = append(macs, m)
+		}
+	}
+	macs = append(macs, packet.MAC{}, packet.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	for _, m := range macs {
+		k := macKey(m)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%v and %v share FDB key %#x", prev, m, k)
+		}
+		seen[k] = m
+	}
+
+	b := NewBridge()
+	b.MaxAge = 1000
+	got := make([]int, 3)
+	for i := range got {
+		i := i
+		b.AttachPort(func(*skb.SKB) { got[i]++ })
+	}
+	for i, m := range macs {
+		b.LearnAt(m, i%3, 0)
+	}
+	if b.Learned != uint64(len(macs)) {
+		t.Fatalf("Learned = %d, want %d", b.Learned, len(macs))
+	}
+	for i, m := range macs {
+		if p, ok := b.Lookup(m); !ok || p != i%3 {
+			t.Fatalf("%v: Lookup = %d, %v, want port %d", m, p, ok, i%3)
+		}
+	}
+	// Refresh every even entry at t=600; nothing is newly learned.
+	for i := 0; i < len(macs); i += 2 {
+		b.LearnAt(macs[i], i%3, 600)
+	}
+	if b.Learned != uint64(len(macs)) {
+		t.Fatalf("refresh counted as learning: Learned = %d", b.Learned)
+	}
+	// At t=1500 only the odd entries are past MaxAge: forwarding toward
+	// them floods and ages them out, toward the refreshed ones it unicasts.
+	src := packet.MAC{0x02, 0xaa, 0xbb, 0xcc, 0xdd, 0xee}
+	var aged, flooded, forwarded uint64
+	for i, m := range macs {
+		in := (i%3 + 1) % 3
+		b.ForwardAt(in, src, m, &skb.SKB{}, 1500)
+		if i%2 == 1 {
+			aged++
+			flooded++
+		} else {
+			forwarded++
+		}
+		if b.Aged != aged || b.Flooded != flooded || b.Forwarded != forwarded {
+			t.Fatalf("%v: aged/flooded/forwarded = %d/%d/%d, want %d/%d/%d",
+				m, b.Aged, b.Flooded, b.Forwarded, aged, flooded, forwarded)
+		}
+		if _, ok := b.Lookup(m); ok != (i%2 == 0) {
+			t.Fatalf("%v: present after forwarding = %v, want %v", m, ok, i%2 == 0)
+		}
+	}
+}
+
+// BenchmarkBridgeForward is the per-frame FDB work on the fabric path:
+// learn the source, look up the destination, unicast.
+func BenchmarkBridgeForward(b *testing.B) {
+	br := NewBridge()
+	br.MaxAge = 1 << 40
+	br.AttachPort(func(*skb.SKB) {})
+	br.AttachPort(func(*skb.SKB) {})
+	src := packet.MAC{0x02, 0, 0, 0, 1, 7}
+	dst := packet.MAC{0x02, 0, 0, 0, 2, 7}
+	br.LearnAt(dst, 1, 0)
+	s := &skb.SKB{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br.ForwardAt(0, src, dst, s, 0)
 	}
 }

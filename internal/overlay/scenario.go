@@ -146,8 +146,8 @@ type Scenario struct {
 	CopyThreads int
 	// WireMode attaches real wire bytes to every segment: senders build
 	// genuine inner frames and VxLAN encapsulation; the tunnel device
-	// decapsulates actual bytes; the socket verifies payload integrity
-	// on delivery. Slower; used for end-to-end validation.
+	// decapsulates actual bytes; the socket checks frames parse and carry
+	// the accounted payload length. Slower; for end-to-end validation.
 	WireMode bool
 	// ModelTX replaces the aggregate client-cost model with an explicit
 	// sender-side transmit pipeline (socket send path, GSO, container

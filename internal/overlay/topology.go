@@ -463,7 +463,7 @@ func (h *host) buildFlowRx(f int, id uint64) *flowPath {
 // frames to fp's receive edge: the local VTEP chain on a single host, the
 // cross-host chain (VTEP → FDB → underlay) on a fabric, where fp belongs to
 // the remote receiving host. In wire mode the senders' frames get real
-// bytes first, and fp's socket verifies them on delivery.
+// bytes first, and fp's socket checks their frames on delivery.
 func (h *host) buildFlowTx(f int, fp *flowPath, net traffic.Ingress) {
 	sc := h.sc
 	cfg := sc.Costs

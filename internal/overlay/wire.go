@@ -12,9 +12,9 @@ import (
 // emits: an inner Ethernet/IPv4/TCP-or-UDP frame, which the flow's VTEP
 // then wraps in a genuine RFC 7348 VxLAN encapsulation on overlay paths.
 // The VxLAN device performs byte-level decapsulation and the socket
-// verifies the payload on delivery — end-to-end validation that the
-// simulated data path manipulates packets correctly, not just their cost
-// accounting.
+// checks that the delivered frames parse and carry the accounted payload
+// length — end-to-end validation that the simulated data path manipulates
+// packets correctly, not just their cost accounting.
 type wireBuilder struct {
 	n        traffic.Ingress
 	src, dst packet.FlowAddr

@@ -7,7 +7,7 @@
 package proto
 
 import (
-	"sort"
+	"slices"
 
 	"mflow/internal/sim"
 	"mflow/internal/skb"
@@ -63,7 +63,9 @@ type TCPReceiver struct {
 	DupSegments uint64
 	OFOPruned   uint64
 
-	ooo map[uint64]*skb.SKB
+	ooo     map[uint64]*skb.SKB
+	parked  []uint64 // Missing's scratch: parked sequences
+	missing []uint64 // Missing's scratch: the returned hole map
 }
 
 // Rx processes one skb arriving at the TCP layer on core (charged for any
@@ -160,30 +162,32 @@ func (r *TCPReceiver) Rx(s *skb.SKB, core *sim.Core) {
 // the highest sequence parked in the out-of-order queue — the hole map a
 // real receiver advertises in SACK blocks. The sender's recovery sweep uses
 // it to retransmit every known hole in one round trip instead of
-// discovering them serially.
+// discovering them serially. The result is receiver-owned scratch, valid
+// only until the next Missing call; a warm call allocates nothing. Parked
+// sequences are unique map keys, so their sorted order is deterministic.
 func (r *TCPReceiver) Missing(max int) []uint64 {
 	if len(r.ooo) == 0 || max <= 0 {
 		return nil
 	}
-	covered := make([][2]uint64, 0, len(r.ooo))
-	for _, sk := range r.ooo {
-		covered = append(covered, [2]uint64{sk.Seq, sk.EndSeq()})
+	r.parked = r.parked[:0]
+	for seq := range r.ooo {
+		r.parked = append(r.parked, seq)
 	}
-	sort.Slice(covered, func(i, j int) bool { return covered[i][0] < covered[j][0] })
-	var missing []uint64
+	slices.Sort(r.parked)
+	r.missing = r.missing[:0]
 	next := r.Expected
-	for _, iv := range covered {
-		for ; next < iv[0]; next++ {
-			missing = append(missing, next)
-			if len(missing) >= max {
-				return missing
+	for _, seq := range r.parked {
+		for ; next < seq; next++ {
+			r.missing = append(r.missing, next)
+			if len(r.missing) >= max {
+				return r.missing
 			}
 		}
-		if iv[1] > next {
-			next = iv[1]
+		if end := r.ooo[seq].EndSeq(); end > next {
+			next = end
 		}
 	}
-	return missing
+	return r.missing
 }
 
 // pruneOFO drops the highest-sequence parked skb — the one furthest from

@@ -113,6 +113,49 @@ func TestPoolReclaimsFragArenas(t *testing.T) {
 	}
 }
 
+// A miss — the free list is empty — still arms its fresh SKB from the
+// reclaimed frag arenas, so Reserve reuses a spare arena instead of
+// allocating one while it sits idle.
+func TestPoolMissReusesReclaimedArena(t *testing.T) {
+	p := &Pool{}
+	head, tail := p.Get(), p.Get()
+	head.Proto, tail.Proto = TCP, TCP
+	head.Segs, tail.Segs = 1, 1
+	tail.Seq = 1
+	head.Reserve(0, 4)
+	copy(head.Put(4), "abcd")
+	tail.Reserve(0, 4)
+	copy(tail.Put(4), "efgh")
+	tailArena := &tail.buf[0]
+	head.Merge(tail)
+	p.Put(head) // the chained arena goes to the reserve; tail is dropped
+	if len(p.arenas) != 1 {
+		t.Fatalf("pool reclaimed %d chained arenas, want 1", len(p.arenas))
+	}
+	for p.Free() > 0 {
+		p.Get()
+	}
+
+	allocs := p.Allocs
+	s := p.Get()
+	if p.Allocs != allocs+1 {
+		t.Fatalf("Get with an empty free list was not a miss (Allocs %d -> %d)", allocs, p.Allocs)
+	}
+	if s.buf == nil || &s.buf[0] != tailArena {
+		t.Fatal("miss did not arm the fresh SKB with the reclaimed arena")
+	}
+	if len(p.arenas) != 0 {
+		t.Errorf("reserve holds %d arenas after the miss took one, want 0", len(p.arenas))
+	}
+	if !logicallyZero(s) {
+		t.Errorf("miss returned a non-zeroed SKB: %+v", s)
+	}
+	s.Reserve(0, 4)
+	if &s.buf[0] != tailArena {
+		t.Error("Reserve allocated a fresh arena instead of reusing the reclaimed one")
+	}
+}
+
 func TestPoolDataDroppedOnPut(t *testing.T) {
 	p := &Pool{}
 	s := p.Get()

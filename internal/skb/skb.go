@@ -216,23 +216,25 @@ func (p *Pool) Get() *SKB {
 	if p == nil {
 		return &SKB{}
 	}
+	var s *SKB
 	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
+		s = p.free[n-1]
 		p.free = p.free[:n-1]
 		buf, frags := s.buf, s.frags[:0]
 		*s = SKB{}
 		s.buf, s.frags = buf, frags
-		if s.buf == nil {
-			if m := len(p.arenas); m > 0 {
-				s.buf = p.arenas[m-1]
-				p.arenas[m-1] = nil
-				p.arenas = p.arenas[:m-1]
-			}
-		}
-		return s
+	} else {
+		p.Allocs++
+		s = &SKB{}
 	}
-	p.Allocs++
-	return &SKB{}
+	// Arm an arena-less SKB — a miss too — from the reclaimed reserve,
+	// so a spare arena is reused before Reserve allocates a fresh one.
+	if m := len(p.arenas); m > 0 && s.buf == nil {
+		s.buf = p.arenas[m-1]
+		p.arenas[m-1] = nil
+		p.arenas = p.arenas[:m-1]
+	}
+	return s
 }
 
 // Put returns an SKB to the pool. The caller must not retain it. In -race

@@ -64,6 +64,8 @@ type TCPSender struct {
 	// it and retransmits every known hole at once (bounded by sackBudget
 	// and a per-segment re-send holdoff) instead of discovering holes one
 	// round trip at a time. Nil degrades to NewReno-style serial recovery.
+	// Its result may be receiver scratch valid only until the next call
+	// (TCPReceiver.Missing), so the sweep reads it once, never retaining it.
 	Missing func(max int) []uint64
 
 	// Pool, when set, supplies the sender's SKBs (nil = plain allocation).
