@@ -225,7 +225,6 @@ func TestBridgeFDBKeysAreDistinct(t *testing.T) {
 	b.MaxAge = 1000
 	got := make([]int, 3)
 	for i := range got {
-		i := i
 		b.AttachPort(func(*skb.SKB) { got[i]++ })
 	}
 	for i, m := range macs {
