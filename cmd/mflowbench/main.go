@@ -14,13 +14,12 @@
 //	mflowbench -csv             # machine-readable output
 //	mflowbench -parallel 8      # 8 pool workers (default GOMAXPROCS)
 //	mflowbench -json out/       # also write out/BENCH_<fig>.json
-//	mflowbench -compare out/BENCH_all.json   # fail on >10% regressions
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -32,29 +31,35 @@ import (
 )
 
 func main() {
-	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 4|7|8|9|10|11|12|13|queues|ablations|extensions|chaos|overload|fabric|wire|all")
-		measure   = flag.Int("measure-ms", 12, "measured window per run (simulated ms)")
-		warmup    = flag.Int("warmup-ms", 3, "warmup per run (simulated ms)")
-		seed      = flag.Uint64("seed", 42, "simulation seed")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel  = flag.Int("parallel", harness.DefaultWorkers(), "worker-pool width (1 = serial; output is identical either way)")
-		jsonDir   = flag.String("json", "", "directory to write BENCH_<fig>.json artifact into")
-		compare   = flag.String("compare", "", "baseline BENCH_*.json to compare against; exit 1 on regressions")
-		tolerance = flag.Float64("tolerance", 0.10, "relative throughput drop tolerated by -compare")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run phase to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile after the run phase to this file")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := validateFlags(*tolerance, *parallel, *measure, *warmup); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+// run executes the command with the given arguments and returns its exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mflowbench", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig      = fs.String("fig", "all", "figure to regenerate: 4|7|8|9|10|11|12|13|queues|ablations|extensions|chaos|overload|fabric|wire|all")
+		measure  = fs.Int("measure-ms", 12, "measured window per run (simulated ms)")
+		warmup   = fs.Int("warmup-ms", 3, "warmup per run (simulated ms)")
+		seed     = fs.Uint64("seed", 42, "simulation seed")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		parallel = fs.Int("parallel", harness.DefaultWorkers(), "worker-pool width (1 = serial; output is identical either way)")
+		jsonDir  = fs.String("json", "", "directory to write BENCH_<fig>.json artifact into")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run phase to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile after the run phase to this file")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
+
+	if err := validateFlags(*parallel, *measure, *warmup); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	r := bench.NewRunner()
@@ -66,18 +71,18 @@ func main() {
 	start := time.Now()
 	tables, err := r.Tables(*fig)
 	// The profiles cover the scenario-running phase, which is where all the
-	// simulation time and allocation go; rendering and comparison are not
-	// worth profiling and must not dilute the data.
+	// simulation time and allocation go; rendering is not worth profiling
+	// and must not dilute the data.
 	stopProf()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	// Timing and scheduler telemetry go to stderr only: stdout and the
 	// JSON artifact must be byte-identical across worker counts.
-	fmt.Fprintf(os.Stderr, "mflowbench: fig=%s workers=%d wall=%s\n", *fig, *parallel, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "mflowbench: fig=%s workers=%d wall=%s\n", *fig, *parallel, time.Since(start).Round(time.Millisecond))
 	if st, segs := r.SchedTelemetry(); st.Scheduled > 0 && segs > 0 {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"mflowbench: sched events=%d coalesced=%d (%.1f%%) inlined=%d (%.1f%%) heap-ops=%d peak-heap=%d heap-ops/pkt=%.2f\n",
 			st.Scheduled,
 			st.Coalesced, 100*float64(st.Coalesced)/float64(st.Scheduled),
@@ -88,64 +93,45 @@ func main() {
 
 	for _, t := range tables {
 		if *csv {
-			fmt.Printf("# %s — %s\n%s\n", t.ID, t.Title, t.CSV())
+			fmt.Fprintf(stdout, "# %s — %s\n%s\n", t.ID, t.Title, t.CSV())
 		} else {
-			fmt.Println(t.Render())
+			fmt.Fprintln(stdout, t.Render())
 		}
 	}
 
-	var artifact *bench.Artifact
-	if *jsonDir != "" || *compare != "" {
-		artifact = r.Artifact(*fig, tables)
-	}
 	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		artifact := r.Artifact(*fig, tables)
 		path := filepath.Join(*jsonDir, fmt.Sprintf("BENCH_%s.json", *fig))
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := writeArtifact(path, artifact); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		if err := artifact.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "mflowbench: wrote %s (%d runs, %d app runs)\n", path, len(artifact.Runs), len(artifact.Apps))
+		fmt.Fprintf(stderr, "mflowbench: wrote %s (%d runs, %d app runs)\n", path, len(artifact.Runs), len(artifact.Apps))
 	}
-	if *compare != "" {
-		baseline, err := bench.LoadArtifact(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		regs := bench.Compare(baseline, artifact, *tolerance)
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "mflowbench: %d regression(s) beyond %.0f%% vs %s:\n", len(regs), 100**tolerance, *compare)
-			for _, g := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", g)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mflowbench: no regressions beyond %.0f%% vs %s\n", 100**tolerance, *compare)
-	}
+	return 0
 }
 
-// validateFlags rejects nonsense before the harness spins up: the regression
-// tolerance must be a finite non-negative fraction, the worker pool at least
-// one wide, and the simulated windows non-negative with a positive measured
-// window (a zero-length measurement divides by zero in every rate).
-func validateFlags(tolerance float64, parallel, measureMs, warmupMs int) error {
-	if math.IsNaN(tolerance) || math.IsInf(tolerance, 0) || tolerance < 0 {
-		return fmt.Errorf("-tolerance must be a finite non-negative fraction, got %v", tolerance)
+// writeArtifact writes a as JSON to path, creating its directory.
+func writeArtifact(path string, a *bench.Artifact) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := a.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// validateFlags rejects nonsense before the harness spins up: the worker
+// pool must be at least one wide, and the simulated windows non-negative
+// with a positive measured window (a zero-length measurement divides by
+// zero in every rate).
+func validateFlags(parallel, measureMs, warmupMs int) error {
 	if parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
 	}

@@ -11,7 +11,7 @@
 //	mflowinspect -chaos burst             # under fault injection
 //	mflowinspect -perfetto flight.json    # export anomaly snapshots (Perfetto)
 //	mflowinspect -fig 7                   # MFLOW reorder-wait vs batch size, vs RPS
-//	mflowinspect -compare BENCH_all.json  # regenerate + fail on any table drift
+//	mflowinspect -compare BENCH_all.json  # regenerate probed + fail on any drift
 //	mflowinspect -compare OLD.json -against NEW.json   # diff two artifacts
 package main
 
@@ -53,15 +53,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exemplars = fs.Int("exemplars", causal.DefaultExemplarsPerFlow, "slowest-packet timelines kept per flow")
 		perfetto  = fs.String("perfetto", "", "write flight-recorder snapshots as a Perfetto trace to this file")
 		fig       = fs.String("fig", "", "figure-style causal comparison (7: reorder-wait vs batch size, MFLOW vs RPS)")
-		compare   = fs.String("compare", "", "baseline BENCH_*.json: regenerate at its seed/windows and fail on breakdown or table drift")
+		compare   = fs.String("compare", "", "baseline BENCH_*.json: regenerate at its seed/windows and fail on any header, record field or table cell that differs")
 		against   = fs.String("against", "", "with -compare: diff against this artifact instead of regenerating")
-		tolerance = fs.Float64("tolerance", 0.10, "relative throughput drop tolerated by -compare")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 
 	switch {
 	case *compare != "":
-		return runCompare(stdout, stderr, *compare, *against, *tolerance)
+		return runCompare(stdout, stderr, *compare, *against)
 	case *fig == "7":
 		return runFig7(stdout, stderr, *seed, *warmup, *measure)
 	case *fig != "":
@@ -235,9 +234,8 @@ func runFig7(stdout, stderr io.Writer, seed uint64, warmupMs, measureMs int) int
 
 // runCompare loads a baseline artifact and either regenerates it at the same
 // figure/seed/windows (probed — proving probes don't drift results) or diffs
-// it against a second artifact. Any cell-level table drift, breakdown drift,
-// or throughput regression beyond tolerance fails.
-func runCompare(stdout, stderr io.Writer, basePath, againstPath string, tol float64) int {
+// it against a second artifact. Any difference bench.Diff reports fails.
+func runCompare(stdout, stderr io.Writer, basePath, againstPath string) int {
 	base, err := bench.LoadArtifact(basePath)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -263,18 +261,14 @@ func runCompare(stdout, stderr io.Writer, basePath, againstPath string, tol floa
 		}
 		cur = r.Artifact(base.Figure, tables)
 	}
-	drift := bench.DiffTables(base.Tables, cur.Tables)
-	drift = append(drift, bench.DiffBreakdowns(base, cur)...)
-	for _, g := range bench.Compare(base, cur, tol) {
-		drift = append(drift, g.String())
-	}
-	if len(drift) > 0 {
+	if drift := bench.Diff(base, cur); len(drift) > 0 {
 		fmt.Fprintf(stderr, "mflowinspect: %d drift line(s) vs %s:\n", len(drift), basePath)
 		for _, d := range drift {
 			fmt.Fprintf(stderr, "  %s\n", d)
 		}
 		return 1
 	}
-	fmt.Fprintf(stdout, "mflowinspect: no drift vs %s (%d tables, %d runs)\n", basePath, len(base.Tables), len(base.Runs))
+	fmt.Fprintf(stdout, "mflowinspect: no drift vs %s (%d tables, %d runs, %d app runs)\n",
+		basePath, len(base.Tables), len(base.Runs), len(base.Apps))
 	return 0
 }

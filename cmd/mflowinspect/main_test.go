@@ -73,3 +73,35 @@ func TestRunRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareAgainst diffs two artifact files: an identical copy passes,
+// and a copy with one edited record field fails, naming the field.
+func TestCompareAgainst(t *testing.T) {
+	base, err := os.ReadFile("../../BENCH_all.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	same := filepath.Join(dir, "same.json")
+	edited := filepath.Join(dir, "edited.json")
+	if err := os.WriteFile(same, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The first run record's p99 latency, with a 1 prefixed to its digits.
+	data := bytes.Replace(base, []byte(`"latency_p99_us": `), []byte(`"latency_p99_us": 1`), 1)
+	if err := os.WriteFile(edited, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-compare", same, "-against", "../../BENCH_all.json"}, &out, &errb); code != 0 {
+		t.Fatalf("identical copy: exit %d, stderr: %s", code, errb.String())
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-compare", edited, "-against", "../../BENCH_all.json"}, &out, &errb); code != 1 {
+		t.Fatalf("edited copy: exit %d, want 1; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "latency_p99_us") {
+		t.Errorf("drift report does not name the edited field:\n%s", errb.String())
+	}
+}

@@ -228,8 +228,6 @@ func RunWebServing(cfg WebConfig) *WebResult {
 	for i := range stats {
 		stats[i] = WebOpResult{Name: cfg.Ops[i].Name, Response: metrics.NewHistogram()}
 	}
-	var delays []float64
-	_ = delays
 	delaySum := make([]float64, len(cfg.Ops))
 
 	measStart := sim.Time(cfg.Warmup)

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"strings"
 
+	"mflow/internal/apps"
 	"mflow/internal/overlay"
 	"mflow/internal/sim"
 )
 
 // ArtifactSchema versions the BENCH_*.json layout; bump it when record
-// fields change incompatibly so Compare can refuse mismatched baselines.
+// fields change incompatibly so LoadArtifact can refuse mismatched baselines.
 const ArtifactSchema = "mflow-bench/v1"
 
 // Artifact is the machine-readable companion to a figure's text tables:
@@ -69,8 +72,7 @@ type RunRecord struct {
 	StaleReleased   uint64 `json:"stale_released,omitempty"`
 	OFOPruned       uint64 `json:"ofo_pruned,omitempty"`
 
-	// Queue depths from the observability snapshot; zero when the run
-	// was not observed.
+	// Queue depths from the run's observability snapshot.
 	RingP99    int64 `json:"ring_p99,omitempty"`
 	RingMax    int64 `json:"ring_max,omitempty"`
 	BacklogP99 int64 `json:"backlog_p99,omitempty"`
@@ -137,15 +139,13 @@ func runRecord(key string, res *overlay.Result) RunRecord {
 		rec.LatencyP50Us = float64(res.Latency.Median()) / 1000
 		rec.LatencyP99Us = float64(res.Latency.P99()) / 1000
 	}
-	if res.Obs != nil {
-		rec.RingP99, rec.RingMax, _, rec.BacklogP99, rec.BacklogMax = queueStats(res)
-	}
+	rec.RingP99, rec.RingMax, _, rec.BacklogP99, rec.BacklogMax = queueStats(res)
 	rec.Breakdown = breakdownRecords(res.Breakdown)
 	return rec
 }
 
 // Artifact assembles the named figure's artifact from the Runner's warm
-// caches and the already-rendered tables. Runs appear in the figure's
+// cache and the already-rendered tables. Records appear in the figure's
 // recorded order (record.go): first-request order, deduplicated by key —
 // the same order a serial build consumed them in, so the encoding is
 // independent of worker count.
@@ -162,36 +162,30 @@ func (r *Runner) Artifact(fig string, tables []*Table) *Artifact {
 			float64(r.Warmup)/float64(sim.Millisecond),
 			float64(r.Measure)/float64(sim.Millisecond)),
 	}
-	rec := r.recordingFor(fig)
-	for _, run := range rec.runs {
-		res, ok := r.cached(run.key)
-		if !ok {
-			// Not built on this Runner yet: run it now rather than emit
-			// a hole.
-			res = r.run(run.sc)
+	for _, j := range r.recordingFor(fig).jobs {
+		// A job not built on this Runner yet runs now rather than leave
+		// a hole.
+		switch res := r.do(j).(type) {
+		case *overlay.Result:
+			a.Runs = append(a.Runs, runRecord(j.key, res))
+		case *apps.WebResult:
+			a.Apps = append(a.Apps, AppRecord{
+				Key:    j.key,
+				Kind:   "web",
+				System: res.Config.System.String(),
+				PerSec: res.TotalSuccessPerSec,
+			})
+		case *apps.CachingResult:
+			a.Apps = append(a.Apps, AppRecord{
+				Key:     j.key,
+				Kind:    "caching",
+				System:  res.Config.System.String(),
+				Clients: res.Config.Clients,
+				PerSec:  res.RequestsPerSec,
+				AvgUs:   float64(res.Avg) / 1000,
+				P99Us:   float64(res.P99) / 1000,
+			})
 		}
-		a.Runs = append(a.Runs, runRecord(run.key, res))
-	}
-	for _, cfg := range rec.web {
-		res := r.web(cfg.System)
-		a.Apps = append(a.Apps, AppRecord{
-			Key:    webKey(res.Config),
-			Kind:   "web",
-			System: res.Config.System.String(),
-			PerSec: res.TotalSuccessPerSec,
-		})
-	}
-	for _, cfg := range rec.caching {
-		res := r.caching(cfg.System, cfg.Clients)
-		a.Apps = append(a.Apps, AppRecord{
-			Key:     cachingKey(res.Config),
-			Kind:    "caching",
-			System:  res.Config.System.String(),
-			Clients: res.Config.Clients,
-			PerSec:  res.RequestsPerSec,
-			AvgUs:   float64(res.Avg) / 1000,
-			P99Us:   float64(res.P99) / 1000,
-		})
 	}
 	for _, t := range tables {
 		a.Tables = append(a.Tables, TableRecord{
@@ -226,67 +220,120 @@ func LoadArtifact(path string) (*Artifact, error) {
 	return &a, nil
 }
 
-// Regression is one run whose headline metric fell more than the allowed
-// tolerance below the baseline.
-type Regression struct {
-	Key      string
-	Name     string
-	Metric   string
-	Baseline float64
-	Current  float64
-	Drop     float64 // relative: (baseline - current) / baseline
-}
-
-func (g Regression) String() string {
-	return fmt.Sprintf("%s: %s %.3f -> %.3f (-%.1f%%)", g.Name, g.Metric, g.Baseline, g.Current, 100*g.Drop)
-}
-
-// Compare flags current runs whose throughput regressed beyond tol
-// (relative) against the baseline. Runs are matched by scenario key; keys
-// present on only one side are ignored (the matrix changed, not the
-// performance). Throughput-class metrics only — counters and latencies
-// shift legitimately with scheduling changes, but a goodput collapse is
-// what the artifact gate exists to catch.
-func Compare(baseline, current *Artifact, tol float64) []Regression {
-	base := make(map[string]RunRecord, len(baseline.Runs))
-	for _, rec := range baseline.Runs {
-		base[rec.Key] = rec
+// Diff compares two artifacts exactly and returns one line per
+// difference, naming the header field, record or table cell that differs;
+// no lines means the artifacts agree. It checks the header (schema, figure,
+// seed and both windows), every run and app record by key (present on both
+// sides and equal in every field) and every table by ID. A run's causal
+// breakdown is compared only when both sides carry one, because an
+// unprobed artifact has none.
+func Diff(base, cur *Artifact) []string {
+	var d []string
+	for _, h := range []struct {
+		name string
+		b, c any
+	}{
+		{"schema", base.Schema, cur.Schema},
+		{"figure", base.Figure, cur.Figure},
+		{"seed", base.Seed, cur.Seed},
+		{"warmup_ms", base.WarmupMs, cur.WarmupMs},
+		{"measure_ms", base.MeasureMs, cur.MeasureMs},
+	} {
+		if h.b != h.c {
+			d = append(d, fmt.Sprintf("%s: %v vs %v", h.name, h.b, h.c))
+		}
 	}
-	var out []Regression
-	for _, cur := range current.Runs {
-		b, ok := base[cur.Key]
+	d = append(d, diffKeyed(base.Runs, cur.Runs,
+		func(rec RunRecord) string { return rec.Key },
+		func(rec RunRecord) string { return fmt.Sprintf("run %s [%s]", rec.Name, rec.Key) },
+		diffFields[RunRecord])...)
+	d = append(d, diffKeyed(base.Apps, cur.Apps,
+		func(rec AppRecord) string { return rec.Key },
+		func(rec AppRecord) string { return "app " + rec.Key },
+		diffFields[AppRecord])...)
+	d = append(d, diffKeyed(base.Tables, cur.Tables,
+		func(t TableRecord) string { return t.ID },
+		func(t TableRecord) string { return "table " + t.ID },
+		diffTable)...)
+	return d
+}
+
+// diffKeyed matches base and cur records by key, reports records present
+// on one side only, and compares the matched pairs with diff.
+func diffKeyed[T any](base, cur []T, key, label func(T) string, diff func(what string, b, c T) []string) []string {
+	inCur := make(map[string]T, len(cur))
+	for _, c := range cur {
+		inCur[key(c)] = c
+	}
+	inBase := make(map[string]bool, len(base))
+	var d []string
+	for _, b := range base {
+		inBase[key(b)] = true
+		c, ok := inCur[key(b)]
 		if !ok {
+			d = append(d, label(b)+": missing from current")
 			continue
 		}
-		metric, bv, cv := "gbps", b.Gbps, cur.Gbps
-		if bv == 0 {
-			metric, bv, cv = "msg_per_sec", b.MsgPerSec, cur.MsgPerSec
+		d = append(d, diff(label(b), b, c)...)
+	}
+	for _, c := range cur {
+		if !inBase[key(c)] {
+			d = append(d, label(c)+": not in baseline")
 		}
-		if bv <= 0 {
+	}
+	return d
+}
+
+// diffFields reports every field of two records that differs, by its JSON
+// name. A Breakdown is compared only when both sides carry one.
+func diffFields[T any](what string, b, c T) []string {
+	bv, cv := reflect.ValueOf(b), reflect.ValueOf(c)
+	var d []string
+	for i := 0; i < bv.NumField(); i++ {
+		f := bv.Type().Field(i)
+		bf, cf := bv.Field(i), cv.Field(i)
+		if f.Name == "Breakdown" && (bf.Len() == 0 || cf.Len() == 0) {
 			continue
 		}
-		if drop := (bv - cv) / bv; drop > tol {
-			out = append(out, Regression{
-				Key: cur.Key, Name: cur.Name, Metric: metric,
-				Baseline: bv, Current: cv, Drop: drop,
-			})
+		if !reflect.DeepEqual(bf.Interface(), cf.Interface()) {
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			d = append(d, fmt.Sprintf("%s: %s %v vs %v", what, name, bf.Interface(), cf.Interface()))
 		}
 	}
-	baseApps := make(map[string]AppRecord, len(baseline.Apps))
-	for _, rec := range baseline.Apps {
-		baseApps[rec.Key] = rec
+	return d
+}
+
+// diffTable compares two tables with the same ID cell by cell, plus their
+// titles and notes.
+func diffTable(what string, b, c TableRecord) []string {
+	var d []string
+	if b.Title != c.Title {
+		d = append(d, fmt.Sprintf("%s: title %q vs %q", what, b.Title, c.Title))
 	}
-	for _, cur := range current.Apps {
-		b, ok := baseApps[cur.Key]
-		if !ok || b.PerSec <= 0 {
+	if !reflect.DeepEqual(b.Notes, c.Notes) {
+		d = append(d, fmt.Sprintf("%s: notes %q vs %q", what, b.Notes, c.Notes))
+	}
+	if len(b.Columns) != len(c.Columns) {
+		return append(d, fmt.Sprintf("%s: %d columns vs %d", what, len(b.Columns), len(c.Columns)))
+	}
+	if len(b.Rows) != len(c.Rows) {
+		return append(d, fmt.Sprintf("%s: %d rows vs %d", what, len(b.Rows), len(c.Rows)))
+	}
+	for i, col := range b.Columns {
+		if col != c.Columns[i] {
+			d = append(d, fmt.Sprintf("%s: column %d %q vs %q", what, i, col, c.Columns[i]))
+		}
+	}
+	for i, row := range b.Rows {
+		if len(row) != len(c.Rows[i]) {
+			d = append(d, fmt.Sprintf("%s row %d: %d cells vs %d", what, i, len(row), len(c.Rows[i])))
 			continue
 		}
-		if drop := (b.PerSec - cur.PerSec) / b.PerSec; drop > tol {
-			out = append(out, Regression{
-				Key: cur.Key, Name: fmt.Sprintf("%s/%s", cur.Kind, cur.System), Metric: "per_sec",
-				Baseline: b.PerSec, Current: cur.PerSec, Drop: drop,
-			})
+		for j, cell := range row {
+			if cell != c.Rows[i][j] {
+				d = append(d, fmt.Sprintf("%s row %d col %s: %q vs %q", what, i, b.Columns[j], cell, c.Rows[i][j]))
+			}
 		}
 	}
-	return out
+	return d
 }

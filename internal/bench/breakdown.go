@@ -70,91 +70,3 @@ func BreakdownTable(res *overlay.Result) *Table {
 		fmt.Sprintf("handoff mechanism: %s", steering.HandoffLabel(sc.System)))
 	return t
 }
-
-// DiffTables compares two rendered table sets cell-exactly, matched by
-// table ID, and returns one human-readable line per drift. Tables present
-// on only one side are reported too — a baseline regenerated at the same
-// seed and windows must reproduce every table byte for byte.
-func DiffTables(base, cur []TableRecord) []string {
-	bi := make(map[string]TableRecord, len(base))
-	for _, t := range base {
-		bi[t.ID] = t
-	}
-	ci := make(map[string]TableRecord, len(cur))
-	for _, t := range cur {
-		ci[t.ID] = t
-	}
-	var drift []string
-	for _, t := range base {
-		c, ok := ci[t.ID]
-		if !ok {
-			drift = append(drift, fmt.Sprintf("table %s: missing from current", t.ID))
-			continue
-		}
-		drift = append(drift, diffTable(t, c)...)
-	}
-	for _, t := range cur {
-		if _, ok := bi[t.ID]; !ok {
-			drift = append(drift, fmt.Sprintf("table %s: not in baseline", t.ID))
-		}
-	}
-	return drift
-}
-
-func diffTable(b, c TableRecord) []string {
-	var drift []string
-	if len(b.Columns) != len(c.Columns) {
-		return []string{fmt.Sprintf("table %s: %d columns vs %d", b.ID, len(b.Columns), len(c.Columns))}
-	}
-	if len(b.Rows) != len(c.Rows) {
-		return []string{fmt.Sprintf("table %s: %d rows vs %d", b.ID, len(b.Rows), len(c.Rows))}
-	}
-	for i, col := range b.Columns {
-		if col != c.Columns[i] {
-			drift = append(drift, fmt.Sprintf("table %s: column %d %q vs %q", b.ID, i, col, c.Columns[i]))
-		}
-	}
-	for i, row := range b.Rows {
-		if len(row) != len(c.Rows[i]) {
-			drift = append(drift, fmt.Sprintf("table %s row %d: %d cells vs %d", b.ID, i, len(row), len(c.Rows[i])))
-			continue
-		}
-		for j, cell := range row {
-			if cell != c.Rows[i][j] {
-				drift = append(drift, fmt.Sprintf("table %s row %d col %s: %q vs %q",
-					b.ID, i, b.Columns[j], cell, c.Rows[i][j]))
-			}
-		}
-	}
-	return drift
-}
-
-// DiffBreakdowns compares two artifacts' per-run breakdown records, matched
-// by scenario key then (kind, stage) row; runs without breakdowns on either
-// side are skipped (unprobed baselines carry none). Count drift is exact;
-// microsecond totals compare at the serialized precision.
-func DiffBreakdowns(base, cur *Artifact) []string {
-	bi := make(map[string]RunRecord, len(base.Runs))
-	for _, r := range base.Runs {
-		bi[r.Key] = r
-	}
-	var drift []string
-	for _, c := range cur.Runs {
-		b, ok := bi[c.Key]
-		if !ok || len(b.Breakdown) == 0 || len(c.Breakdown) == 0 {
-			continue
-		}
-		if len(b.Breakdown) != len(c.Breakdown) {
-			drift = append(drift, fmt.Sprintf("%s: %d breakdown rows vs %d", c.Name, len(b.Breakdown), len(c.Breakdown)))
-			continue
-		}
-		for i, br := range b.Breakdown {
-			cr := c.Breakdown[i]
-			if br != cr {
-				drift = append(drift, fmt.Sprintf("%s: breakdown %s/%s %+v vs %+v",
-					c.Name, br.Kind, br.Stage, br, cr))
-			}
-		}
-	}
-	return drift
-}

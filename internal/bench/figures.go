@@ -282,7 +282,7 @@ func (r *Runner) Fig13() *Table {
 }
 
 // queueStats digs the NIC-ring and worst-backlog depth series out of a
-// result's observability snapshot (zeros if the run was not observed).
+// result's observability snapshot (zeros for a recording placeholder).
 func queueStats(res *overlay.Result) (ringP99, ringMax int64, worst string, worstP99, worstMax int64) {
 	worst = "-"
 	// Iterate in sorted-name order: map order would make the worst-backlog
@@ -321,7 +321,7 @@ func (r *Runner) Queues() *Table {
 	t.Columns = []string{"system", "proto", "Gbps", "ring p99/max", "hottest backlog", "backlog p99/max"}
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
 		for _, s := range steering.Systems {
-			res := r.runObserved(overlay.Scenario{System: s, Proto: proto, MsgSize: 65536})
+			res := r.run(overlay.Scenario{System: s, Proto: proto, MsgSize: 65536})
 			ringP99, ringMax, worst, wP99, wMax := queueStats(res)
 			t.Rows = append(t.Rows, []string{
 				s.String(), proto.String(), gbps(res.Gbps),

@@ -48,9 +48,7 @@ func TestCommittedArtifactPin(t *testing.T) {
 			if !ok {
 				t.Fatalf("key missing from committed artifact — nil-Fabric key changed?\n  %s", key)
 			}
-			// Observed: the 64KB sweep overlaps the "queues" figure, so the
-			// committed records carry queue-depth fields.
-			got := runRecord(key, r.runObserved(sc))
+			got := runRecord(key, r.run(sc))
 			if !reflect.DeepEqual(got, rec) {
 				t.Errorf("run record drifted from committed artifact:\n got %+v\nwant %+v", got, rec)
 			}

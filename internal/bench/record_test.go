@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"reflect"
 	"strings"
@@ -21,13 +22,13 @@ func fastRunner() *Runner {
 	return &Runner{Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond, Seed: 42}
 }
 
-// TestPlansCoverFigures pins each figure's recorded plan (record.go) to
-// the runs the figure actually consumes: building the figure serially on a
-// fresh Runner must store exactly the recorded keys, in recorded order,
-// with the recorded runs observed. It is the guard for the invariant the
-// recording relies on — no builder's key set may depend on a result — so
-// a builder that branched on one fails here instead of silently
-// prefetching the wrong matrix or reordering the artifact.
+// TestPlansCoverFigures pins each figure's recorded job list (record.go)
+// to the jobs the figure actually consumes: building the figure serially
+// on a fresh Runner must store exactly the recorded keys, in recorded
+// order. It is the guard for the invariant the recording relies on — no
+// builder's key set may depend on a result — so a builder that branched
+// on one fails here instead of silently prefetching the wrong matrix or
+// reordering the artifact.
 func TestPlansCoverFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every figure")
@@ -43,47 +44,13 @@ func TestPlansCoverFigures(t *testing.T) {
 			if _, err := r.Tables(fig); err != nil {
 				t.Fatal(err)
 			}
-			var runs, observed, web, caching []string
-			for _, k := range r.stored {
-				switch res, ok := r.cache[k]; {
-				case ok:
-					runs = append(runs, k)
-					if res.Obs != nil {
-						observed = append(observed, k)
-					}
-				case r.webs[k] != nil:
-					web = append(web, k)
-				default:
-					caching = append(caching, k)
-				}
+			var recorded []string
+			for _, j := range fastRunner().recordingFor(fig).jobs {
+				recorded = append(recorded, j.key)
 			}
-			rec := fastRunner().recordingFor(fig)
-			var recRuns, recObserved, recWeb, recCaching []string
-			for _, run := range rec.runs {
-				recRuns = append(recRuns, run.key)
-				if run.observed {
-					recObserved = append(recObserved, run.key)
-				}
-			}
-			for _, cfg := range rec.web {
-				recWeb = append(recWeb, webKey(cfg))
-			}
-			for _, cfg := range rec.caching {
-				recCaching = append(recCaching, cachingKey(cfg))
-			}
-			for _, c := range []struct {
-				what      string
-				built, rc []string
-			}{
-				{"overlay runs", runs, recRuns},
-				{"observed runs", observed, recObserved},
-				{"web runs", web, recWeb},
-				{"caching runs", caching, recCaching},
-			} {
-				if !reflect.DeepEqual(c.built, c.rc) {
-					t.Errorf("%s: recording diverged from the serial build\n--- built ---\n%s\n--- recorded ---\n%s",
-						c.what, strings.Join(c.built, "\n"), strings.Join(c.rc, "\n"))
-				}
+			if !reflect.DeepEqual(r.stored, recorded) {
+				t.Errorf("recording diverged from the serial build\n--- built ---\n%s\n--- recorded ---\n%s",
+					strings.Join(r.stored, "\n"), strings.Join(recorded, "\n"))
 			}
 		})
 	}
@@ -121,7 +88,7 @@ func render(t *testing.T, r *Runner, fig string) (string, *Artifact) {
 // TestParallelMatchesSerialGolden is the harness's headline guarantee:
 // for the same seed and windows, an 8-worker run renders byte-identical
 // tables and artifact JSON to a serial run. The figures chosen cover the
-// sweep cache (4), a single-table matrix (7), observed runs (queues), the
+// sweep cache (4), a single-table matrix (7), queue-depth series (queues), the
 // app benchmarks (13), shared-scenario dedup across builders (12) and a
 // request order that differs from table order (ablations).
 func TestParallelMatchesSerialGolden(t *testing.T) {
@@ -234,31 +201,78 @@ func TestRunnerSharedAcrossFigures(t *testing.T) {
 	}
 }
 
-// TestCompareFlagsRegressions checks the artifact regression gate end to
-// end: identical artifacts pass, a >tolerance throughput drop is flagged.
-func TestCompareFlagsRegressions(t *testing.T) {
+// TestDiffFlagsEveryDrift checks the exact artifact diff: identical
+// artifacts give no lines, and every kind of drift gives at least one line
+// naming what differs.
+func TestDiffFlagsEveryDrift(t *testing.T) {
 	r := fastRunner()
-	tables, err := r.Tables("7")
-	if err != nil {
-		t.Fatal(err)
+	artifact := func(fig string) *Artifact {
+		tables, err := r.Tables(fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Artifact(fig, tables)
 	}
-	baseline := r.Artifact("7", tables)
-	current := r.Artifact("7", tables)
-	if regs := Compare(baseline, current, 0.10); len(regs) != 0 {
-		t.Fatalf("identical artifacts flagged: %v", regs)
+	// One artifact holding run records, app records and tables; each case
+	// edits a deep copy made through the JSON encoding.
+	base, apps := artifact("7"), artifact("13")
+	base.Apps = apps.Apps
+	base.Tables = append(base.Tables, apps.Tables...)
+	clone := func() *Artifact {
+		var buf bytes.Buffer
+		if err := base.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var a Artifact
+		if err := json.Unmarshal(buf.Bytes(), &a); err != nil {
+			t.Fatal(err)
+		}
+		return &a
 	}
-	current.Runs[0].Gbps = baseline.Runs[0].Gbps * 0.5
-	regs := Compare(baseline, current, 0.10)
-	if len(regs) != 1 {
-		t.Fatalf("want 1 regression, got %d: %v", len(regs), regs)
+	if d := Diff(base, clone()); len(d) != 0 {
+		t.Fatalf("identical artifacts differ:\n%s", strings.Join(d, "\n"))
 	}
-	if regs[0].Key != baseline.Runs[0].Key || regs[0].Metric != "gbps" {
-		t.Errorf("wrong regression flagged: %+v", regs[0])
+	for _, c := range []struct {
+		name string
+		edit func(a *Artifact)
+		want string
+	}{
+		{"p99 latency", func(a *Artifact) { a.Runs[2].LatencyP99Us += 0.001 }, "latency_p99_us"},
+		{"ring drops", func(a *Artifact) { a.Runs[0].DropsRing++ }, "drops_ring"},
+		{"missing run", func(a *Artifact) { a.Runs = a.Runs[1:] }, "missing from current"},
+		{"extra app", func(a *Artifact) {
+			extra := a.Apps[0]
+			extra.Key += "|extra"
+			a.Apps = append(a.Apps, extra)
+		}, "not in baseline"},
+		{"table cell", func(a *Artifact) { a.Tables[0].Rows[1][2] = "?" }, "table fig7 row 1"},
+		{"seed", func(a *Artifact) { a.Seed++ }, "seed"},
+		{"window", func(a *Artifact) { a.MeasureMs *= 2 }, "measure_ms"},
+	} {
+		cur := clone()
+		c.edit(cur)
+		d := Diff(base, cur)
+		if len(d) == 0 || !strings.Contains(strings.Join(d, "\n"), c.want) {
+			t.Errorf("%s: want a line naming %q, got:\n%s", c.name, c.want, strings.Join(d, "\n"))
+		}
 	}
-	// A drop within tolerance passes.
-	current.Runs[0].Gbps = baseline.Runs[0].Gbps * 0.95
-	if regs := Compare(baseline, current, 0.10); len(regs) != 0 {
-		t.Errorf("5%% drop within 10%% tolerance flagged: %v", regs)
+	// A run record names itself.
+	cur := clone()
+	cur.Runs[3].Gbps = 0
+	if d := Diff(base, cur); len(d) != 1 || !strings.Contains(d[0], base.Runs[3].Key) || !strings.Contains(d[0], "gbps") {
+		t.Errorf("one-field edit: want one line naming the record and field, got %q", d)
+	}
+	// A causal breakdown is compared only when both sides carry one.
+	cur = clone()
+	cur.Runs[0].Breakdown = []BreakdownRecord{{Kind: "queue", Stage: "gro", Count: 1}}
+	if d := Diff(base, cur); len(d) != 0 {
+		t.Errorf("breakdown on one side only flagged: %q", d)
+	}
+	probed := clone()
+	probed.Runs[0].Breakdown = cur.Runs[0].Breakdown
+	cur.Runs[0].Breakdown = []BreakdownRecord{{Kind: "queue", Stage: "gro", Count: 2}}
+	if d := Diff(probed, cur); len(d) != 1 || !strings.Contains(d[0], "breakdown") {
+		t.Errorf("breakdown drift: want one breakdown line, got %q", d)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mflow/internal/apps"
 	"mflow/internal/causal"
+	"mflow/internal/metrics"
 	"mflow/internal/obs"
 	"mflow/internal/overlay"
 	"mflow/internal/sim"
@@ -26,10 +27,6 @@ type Runner struct {
 	Measure sim.Duration
 	// Seed fixes all runs.
 	Seed uint64
-	// Observe attaches a fresh obs.Registry to every run (NewRunner
-	// enables it), so figure results carry queue-depth and per-stage
-	// latency series alongside Gbps — see Queues().
-	Observe bool
 	// Parallel is the worker-pool width Tables uses to prefetch a
 	// figure's scenario matrix. <= 1 keeps the classic serial path;
 	// harness.DefaultWorkers() (GOMAXPROCS) is the natural setting.
@@ -41,22 +38,22 @@ type Runner struct {
 	// stay byte-identical.
 	Causal bool
 
-	mu      sync.Mutex
-	cache   map[string]*overlay.Result
-	webs    map[string]*apps.WebResult
-	cachegs map[string]*apps.CachingResult
-	// stored lists every cache key in first-store order.
+	mu sync.Mutex
+	// results maps each job key to its *overlay.Result, *apps.WebResult
+	// or *apps.CachingResult.
+	results map[string]any
+	// stored lists every result key in first-store order.
 	stored []string
 	// recordings holds each figure's job list, recorded once (record.go).
 	recordings map[string]*recording
-	// rec makes this Runner a recording copy: runs log into it and
-	// return zero placeholders instead of simulating.
+	// rec makes this Runner a recording copy: jobs log into it and
+	// return placeholders instead of simulating.
 	rec *recording
 }
 
-// NewRunner returns a Runner with default windows and observability on.
+// NewRunner returns a Runner with default windows.
 func NewRunner() *Runner {
-	return &Runner{Warmup: 3 * sim.Millisecond, Measure: 12 * sim.Millisecond, Observe: true}
+	return &Runner{Warmup: 3 * sim.Millisecond, Measure: 12 * sim.Millisecond}
 }
 
 // normalize applies the Runner's default windows and seed to a scenario,
@@ -76,52 +73,61 @@ func (r *Runner) normalize(sc overlay.Scenario) overlay.Scenario {
 	return sc
 }
 
-// cached returns the result stored for key, if any.
-func (r *Runner) cached(key string) (*overlay.Result, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	res, ok := r.cache[key]
-	return res, ok
+// memo is the one memoization path: on a recording Runner it logs the job
+// and returns placeholder; otherwise it returns the result cached under key,
+// running the job and storing its result on a miss.
+func memo[T any](r *Runner, key string, run func() T, placeholder T) T {
+	j := job{key: key, run: func() any { return run() }}
+	if r.rec != nil {
+		r.rec.add(j)
+		return placeholder
+	}
+	return r.do(j).(T)
 }
 
-// store records res under key and returns the cache's winner. Without
-// overwrite the first stored result wins (runs are deterministic, so any
-// two results for one key are identical — keeping the first avoids
-// re-pointing callers); overwrite replaces a result that lacks the obs
-// registry an observed re-run carries.
-func (r *Runner) store(key string, res *overlay.Result, overwrite bool) *overlay.Result {
+// do returns the result cached under j.key, running j on a miss.
+func (r *Runner) do(j job) any {
+	r.mu.Lock()
+	res, ok := r.results[j.key]
+	r.mu.Unlock()
+	if ok {
+		return res
+	}
+	return r.store(j.key, j.run())
+}
+
+// store records res under key and returns the cache's winner: the first
+// stored result wins. Runs are deterministic, so any two results for one
+// key are identical, and keeping the first avoids re-pointing callers.
+func (r *Runner) store(key string, res any) any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cache == nil {
-		r.cache = make(map[string]*overlay.Result)
-	}
-	prev, ok := r.cache[key]
-	if ok && !overwrite {
+	if prev, ok := r.results[key]; ok {
 		return prev
 	}
-	if !ok {
-		r.stored = append(r.stored, key)
+	if r.results == nil {
+		r.results = make(map[string]any)
 	}
-	r.cache[key] = res
+	r.stored = append(r.stored, key)
+	r.results[key] = res
 	return res
 }
 
+// placeholderRun is the zero result a recording Runner hands its builders.
+// Builders only read results, so one shared value serves every recording.
+var placeholderRun = &overlay.Result{Latency: metrics.NewHistogram()}
+
+// run memoizes one overlay scenario. Every run gets a private obs registry,
+// so results carry queue-depth and per-stage latency series alongside Gbps;
+// the key is taken before the registry is attached, so a fresh registry
+// pointer per run does not defeat caching.
 func (r *Runner) run(sc overlay.Scenario) *overlay.Result {
 	sc = r.normalize(sc)
-	// The key is computed before a registry is attached: a fresh registry
-	// pointer per run must not defeat caching.
-	key := sc.Key()
-	if r.rec != nil {
-		r.rec.addRun(key, sc, false)
-		return placeholder(sc)
-	}
-	if res, ok := r.cached(key); ok {
-		return res
-	}
-	if r.Observe && sc.Obs == nil {
+	return memo(r, sc.Key(), func() *overlay.Result {
+		sc := sc // a recorded job may run on several goroutines at once
 		sc.Obs = obs.New()
-	}
-	return r.store(key, overlay.RunProbed(sc, r.probes()), false)
+		return overlay.RunProbed(sc, r.probes())
+	}, placeholderRun)
 }
 
 // SchedTelemetry sums scheduler self-accounting over every cached overlay
@@ -132,9 +138,11 @@ func (r *Runner) run(sc overlay.Scenario) *overlay.Result {
 func (r *Runner) SchedTelemetry() (st sim.SchedStats, segments uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, res := range r.cache {
-		st.Merge(res.Sched)
-		segments += res.DeliveredSegments
+	for _, res := range r.results {
+		if res, ok := res.(*overlay.Result); ok {
+			st.Merge(res.Sched)
+			segments += res.DeliveredSegments
+		}
 	}
 	return st, segments
 }
@@ -148,118 +156,27 @@ func (r *Runner) probes() overlay.Probes {
 	return overlay.Probes{Causal: causal.NewProfiler()}
 }
 
-// runObserved is run with a per-call observability guarantee: the result
-// always carries an obs snapshot, re-running an unobserved cache entry if
-// needed. Queues uses it instead of flipping r.Observe mid-matrix — the
-// old implementation mutated shared Runner state between runs and would
-// race once figures execute concurrently.
-func (r *Runner) runObserved(sc overlay.Scenario) *overlay.Result {
-	sc = r.normalize(sc)
-	key := sc.Key()
-	if r.rec != nil {
-		r.rec.addRun(key, sc, true)
-		return placeholder(sc)
-	}
-	if res, ok := r.cached(key); ok && res.Obs != nil {
-		return res
-	}
-	sc.Obs = obs.New()
-	return r.store(key, overlay.RunProbed(sc, r.probes()), true)
-}
-
 func (r *Runner) single(sys steering.System, proto skb.Proto, size int) *overlay.Result {
 	return r.run(overlay.Scenario{System: sys, Proto: proto, MsgSize: size})
 }
 
-// webConfig is the Fig. 11 configuration for one system; the doubled
-// measure window matches the application benchmark's original setup.
-func (r *Runner) webConfig(sys steering.System) apps.WebConfig {
-	return apps.WebConfig{
-		System: sys,
-		Warmup: r.Warmup, Measure: 2 * r.Measure,
-		Seed: r.Seed,
-	}
-}
-
-func webKey(cfg apps.WebConfig) string {
-	return fmt.Sprintf("web|sys=%v|warmup=%d|measure=%d|seed=%d",
-		cfg.System, cfg.Warmup, cfg.Measure, cfg.Seed)
-}
-
-// web memoizes RunWebServing the way run memoizes overlay scenarios.
+// web memoizes the Fig. 11 web-serving benchmark for one system; the
+// doubled measure window matches the application benchmark's original
+// setup.
 func (r *Runner) web(sys steering.System) *apps.WebResult {
-	cfg := r.webConfig(sys)
-	key := webKey(cfg)
-	if r.rec != nil {
-		r.rec.addWeb(cfg)
-		return &apps.WebResult{Config: cfg}
-	}
-	r.mu.Lock()
-	res, ok := r.webs[key]
-	r.mu.Unlock()
-	if ok {
-		return res
-	}
-	return r.storeWeb(key, apps.RunWebServing(cfg))
+	cfg := apps.WebConfig{System: sys, Warmup: r.Warmup, Measure: 2 * r.Measure, Seed: r.Seed}
+	key := fmt.Sprintf("web|sys=%v|warmup=%d|measure=%d|seed=%d",
+		cfg.System, cfg.Warmup, cfg.Measure, cfg.Seed)
+	return memo(r, key, func() *apps.WebResult { return apps.RunWebServing(cfg) }, &apps.WebResult{})
 }
 
-func (r *Runner) storeWeb(key string, res *apps.WebResult) *apps.WebResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.webs == nil {
-		r.webs = make(map[string]*apps.WebResult)
-	}
-	if prev, ok := r.webs[key]; ok {
-		return prev
-	}
-	r.stored = append(r.stored, key)
-	r.webs[key] = res
-	return res
-}
-
-// cachingConfig is the Fig. 13 configuration for one system/client count.
-func (r *Runner) cachingConfig(sys steering.System, clients int) apps.CachingConfig {
-	return apps.CachingConfig{
-		System: sys, Clients: clients,
-		Warmup: r.Warmup, Measure: r.Measure,
-		Seed: r.Seed,
-	}
-}
-
-func cachingKey(cfg apps.CachingConfig) string {
-	return fmt.Sprintf("caching|sys=%v|clients=%d|warmup=%d|measure=%d|seed=%d",
-		cfg.System, cfg.Clients, cfg.Warmup, cfg.Measure, cfg.Seed)
-}
-
-// caching memoizes RunDataCaching.
+// caching memoizes the Fig. 13 data-caching benchmark for one system and
+// client count.
 func (r *Runner) caching(sys steering.System, clients int) *apps.CachingResult {
-	cfg := r.cachingConfig(sys, clients)
-	key := cachingKey(cfg)
-	if r.rec != nil {
-		r.rec.addCaching(cfg)
-		return &apps.CachingResult{Config: cfg}
-	}
-	r.mu.Lock()
-	res, ok := r.cachegs[key]
-	r.mu.Unlock()
-	if ok {
-		return res
-	}
-	return r.storeCaching(key, apps.RunDataCaching(cfg))
-}
-
-func (r *Runner) storeCaching(key string, res *apps.CachingResult) *apps.CachingResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cachegs == nil {
-		r.cachegs = make(map[string]*apps.CachingResult)
-	}
-	if prev, ok := r.cachegs[key]; ok {
-		return prev
-	}
-	r.stored = append(r.stored, key)
-	r.cachegs[key] = res
-	return res
+	cfg := apps.CachingConfig{System: sys, Clients: clients, Warmup: r.Warmup, Measure: r.Measure, Seed: r.Seed}
+	key := fmt.Sprintf("caching|sys=%v|clients=%d|warmup=%d|measure=%d|seed=%d",
+		cfg.System, cfg.Clients, cfg.Warmup, cfg.Measure, cfg.Seed)
+	return memo(r, key, func() *apps.CachingResult { return apps.RunDataCaching(cfg) }, &apps.CachingResult{})
 }
 
 // Figures lists every figure identifier Tables accepts, in paper order.

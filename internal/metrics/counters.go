@@ -7,52 +7,6 @@ import (
 	"mflow/internal/sim"
 )
 
-// Throughput accumulates delivered bytes/messages over a measurement window
-// and converts them to rates.
-type Throughput struct {
-	Bytes    uint64
-	Messages uint64
-	Packets  uint64
-	start    sim.Time
-	end      sim.Time
-}
-
-// NewThroughput returns a counter whose window opens at start.
-func NewThroughput(start sim.Time) *Throughput {
-	return &Throughput{start: start}
-}
-
-// Add records a delivered unit of traffic.
-func (t *Throughput) Add(bytes int, packets int) {
-	t.Bytes += uint64(bytes)
-	t.Packets += uint64(packets)
-	t.Messages++
-}
-
-// Close fixes the end of the measurement window.
-func (t *Throughput) Close(end sim.Time) { t.end = end }
-
-// Window returns the window length.
-func (t *Throughput) Window() sim.Duration { return t.end.Sub(t.start) }
-
-// Gbps returns delivered goodput in gigabits per second of simulated time.
-func (t *Throughput) Gbps() float64 {
-	w := t.Window().Seconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(t.Bytes) * 8 / w / 1e9
-}
-
-// MsgPerSec returns delivered messages per second of simulated time.
-func (t *Throughput) MsgPerSec() float64 {
-	w := t.Window().Seconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(t.Messages) / w
-}
-
 // CPUSample is one core's utilization over a measurement window, broken down
 // by accounting tag (softirq/device name).
 type CPUSample struct {

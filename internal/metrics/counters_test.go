@@ -8,33 +8,6 @@ import (
 	"mflow/internal/sim"
 )
 
-func TestThroughputRates(t *testing.T) {
-	tp := NewThroughput(0)
-	for i := 0; i < 1000; i++ {
-		tp.Add(1500, 1)
-	}
-	tp.Close(sim.Time(1 * sim.Millisecond))
-	// 1.5 MB in 1 ms = 12 Gbps
-	if g := tp.Gbps(); math.Abs(g-12) > 0.01 {
-		t.Errorf("Gbps=%.3f, want 12", g)
-	}
-	if m := tp.MsgPerSec(); math.Abs(m-1e6) > 1 {
-		t.Errorf("MsgPerSec=%.0f, want 1e6", m)
-	}
-	if tp.Packets != 1000 {
-		t.Errorf("Packets=%d, want 1000", tp.Packets)
-	}
-}
-
-func TestThroughputZeroWindow(t *testing.T) {
-	tp := NewThroughput(100)
-	tp.Add(1500, 1)
-	tp.Close(100)
-	if tp.Gbps() != 0 || tp.MsgPerSec() != 0 {
-		t.Error("zero window must not divide by zero")
-	}
-}
-
 func TestSnapshotCPU(t *testing.T) {
 	s := sim.NewScheduler(1)
 	cores := sim.NewCores(2, s)

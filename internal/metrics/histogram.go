@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram is a log-bucketed histogram of non-negative int64 samples
@@ -207,21 +206,4 @@ func MeanStddev(xs []float64) (mean, stddev float64) {
 		ss += d * d
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0-100) of xs by sorting a copy.
-// Intended for small slices (per-run summaries), not per-packet data.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	idx := p / 100 * float64(len(cp)-1)
-	lo := int(idx)
-	if lo >= len(cp)-1 {
-		return cp[len(cp)-1]
-	}
-	frac := idx - float64(lo)
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
 }

@@ -121,22 +121,6 @@ func TestMeanStddev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	if p := Percentile(xs, 50); math.Abs(p-30) > 1e-9 {
-		t.Errorf("p50=%.1f, want 30", p)
-	}
-	if p := Percentile(xs, 100); p != 50 {
-		t.Errorf("p100=%.1f, want 50", p)
-	}
-	if p := Percentile(xs, 0); p != 10 {
-		t.Errorf("p0=%.1f, want 10", p)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-}
-
 func TestQuantileEmpty(t *testing.T) {
 	h := NewHistogram()
 	for _, q := range []float64{0, 0.5, 1} {

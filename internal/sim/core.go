@@ -177,15 +177,3 @@ func (c *Core) Utilization(busyAtSince Duration, since, until Time) float64 {
 	}
 	return float64(c.busyTotal-busyAtSince) / float64(until.Sub(since))
 }
-
-// ResetAccounting zeroes the busy-time counters (used between warmup and
-// measurement phases of an experiment).
-func (c *Core) ResetAccounting() {
-	c.busyTotal = 0
-	for k := range c.tagIdx {
-		delete(c.tagIdx, k)
-	}
-	c.tagVals = c.tagVals[:0]
-	c.lastTag, c.lastIdx = "", -1
-	c.tagsSorted = c.tagsSorted[:0]
-}

@@ -120,17 +120,6 @@ func TestCoreUtilization(t *testing.T) {
 	}
 }
 
-func TestCoreResetAccounting(t *testing.T) {
-	s := NewScheduler(1)
-	c := NewCore(1, s)
-	s.At(0, func() { c.Exec(100, "a") })
-	s.Run()
-	c.ResetAccounting()
-	if c.BusyTotal() != 0 || len(c.BusyByTag()) != 0 {
-		t.Error("ResetAccounting did not clear counters")
-	}
-}
-
 func TestNewCoresIDs(t *testing.T) {
 	s := NewScheduler(1)
 	cores := NewCores(4, s)

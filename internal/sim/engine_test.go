@@ -175,8 +175,4 @@ func TestCoreTagAccounting(t *testing.T) {
 			t.Errorf("Exec on a seen tag averaged %.2f allocs/op, want 0", avg)
 		}
 	}
-	c.ResetAccounting()
-	if len(c.Tags()) != 0 {
-		t.Errorf("Tags() after ResetAccounting = %v, want empty", c.Tags())
-	}
 }

@@ -43,37 +43,6 @@ func flowPopulations(n int) map[string][]uint64 {
 	return map[string][]uint64{"sequential": seq, "strided": strided, "mixed": mixed}
 }
 
-// TestRPSTableDistributionUniform checks the software-steering hash: over
-// every synthetic flow population and mask size, per-CPU assignment counts
-// must pass a chi-squared uniformity test at α=0.001. A biased hash would
-// concentrate flows on few cores and silently undo the inter-flow
-// parallelism the RPS baseline models.
-func TestRPSTableDistributionUniform(t *testing.T) {
-	const flows = 4096
-	for name, ids := range flowPopulations(flows) {
-		for _, maskSize := range []int{2, 4, 8} {
-			mask := make([]int, maskSize)
-			for i := range mask {
-				mask[i] = i + 3 // offset: CPUFor must return mask entries, not raw hashes
-			}
-			tab := &RPSTable{Mask: mask}
-			counts := make([]int, maskSize)
-			for _, id := range ids {
-				cpu := tab.CPUFor(id)
-				if cpu < 3 || cpu >= 3+maskSize {
-					t.Fatalf("%s/mask=%d: CPUFor(%d) = %d, outside the mask", name, maskSize, id, cpu)
-				}
-				counts[cpu-3]++
-			}
-			x2 := chiSquared(counts, flows)
-			if crit := chiSquaredCritical[maskSize-1]; x2 > crit {
-				t.Errorf("%s/mask=%d: chi-squared %.2f exceeds %.2f (α=0.001); counts %v",
-					name, maskSize, x2, crit, counts)
-			}
-		}
-	}
-}
-
 // TestNICRSSDistributionUniform applies the same uniformity bar to the
 // hardware-RSS stand-in (nic.Hash64 queue selection), which Fig. 4's
 // multi-flow scenarios and the RPS/MFLOW topologies all depend on.
@@ -91,32 +60,5 @@ func TestNICRSSDistributionUniform(t *testing.T) {
 					name, queues, x2, crit, counts)
 			}
 		}
-	}
-}
-
-// TestRPSTableStability pins the steering contract RSS and RPS share: the
-// same flow identity always lands on the same CPU — across repeated
-// lookups and across table instances — and distinct mask sizes only remap,
-// never crash. Per-flow stickiness is what limits these systems to
-// inter-flow parallelism (the limitation MFLOW exists to lift), so the
-// simulator must model it exactly.
-func TestRPSTableStability(t *testing.T) {
-	mask := []int{0, 1, 2, 3}
-	tab := &RPSTable{Mask: mask}
-	for id := uint64(1); id <= 1000; id++ {
-		first := tab.CPUFor(id)
-		for i := 0; i < 3; i++ {
-			if got := tab.CPUFor(id); got != first {
-				t.Fatalf("flow %d moved from cpu %d to %d on lookup %d", id, first, got, i)
-			}
-		}
-		// A fresh table with the same mask is the same function.
-		if got := (&RPSTable{Mask: mask}).CPUFor(id); got != first {
-			t.Fatalf("flow %d: fresh table steered to %d, want %d", id, got, first)
-		}
-	}
-	// Empty mask degrades to CPU 0 rather than dividing by zero.
-	if got := (&RPSTable{}).CPUFor(7); got != 0 {
-		t.Errorf("empty mask: CPUFor = %d, want 0", got)
 	}
 }

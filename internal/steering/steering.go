@@ -2,13 +2,12 @@
 // paper evaluates: the vanilla single-core path, Linux RPS, FALCON's device-
 // and function-level softirq pipelining, and MFLOW. It provides the
 // placement plans (which softirq stage group runs on which core) that the
-// overlay topology builder realizes, plus the RPS hash table mechanism.
+// overlay topology builder realizes.
 package steering
 
 import (
 	"fmt"
 
-	"mflow/internal/nic"
 	"mflow/internal/skb"
 )
 
@@ -141,17 +140,6 @@ type Plan struct {
 	PreGROHandoff bool
 }
 
-// Width returns the number of distinct kernel cores the plan touches.
-func (p Plan) Width() int {
-	max := 0
-	for _, g := range p.Groups {
-		if g.CoreOff > max {
-			max = g.CoreOff
-		}
-	}
-	return max + 1
-}
-
 // PlanFor returns the placement for a baseline system. Overlay flows have
 // the full four-stage pipeline; native flows collapse VXLAN away (the plan
 // simply omits it).
@@ -206,20 +194,4 @@ func PlanFor(sys System, proto skb.Proto) Plan {
 		_ = proto
 		panic(fmt.Sprintf("steering: no static plan for %v", sys))
 	}
-}
-
-// RPSTable is the software steering table (rps_cpus): a hash over the flow
-// identity selects a CPU from the mask, in the first softirq's context —
-// inter-flow parallelism only, exactly like hardware RSS.
-type RPSTable struct {
-	// Mask is the set of eligible core indices.
-	Mask []int
-}
-
-// CPUFor returns the steered core index for a flow.
-func (t *RPSTable) CPUFor(flowID uint64) int {
-	if len(t.Mask) == 0 {
-		return 0
-	}
-	return t.Mask[nic.Hash64(flowID^0x5bd1e995)%uint64(len(t.Mask))]
 }

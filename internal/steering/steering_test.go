@@ -25,24 +25,20 @@ func TestPlanShapes(t *testing.T) {
 	cases := []struct {
 		sys      System
 		groups   int
-		width    int
 		handoff  bool
 		preGRO   bool
 		hasVXLAN bool
 	}{
-		{Native, 1, 1, false, false, false},
-		{Vanilla, 3, 1, false, false, true},
-		{RPS, 3, 2, false, false, true},
-		{FalconDev, 3, 3, true, false, true},
-		{FalconFunc, 4, 4, true, true, true},
+		{Native, 1, false, false, false},
+		{Vanilla, 3, false, false, true},
+		{RPS, 3, false, false, true},
+		{FalconDev, 3, true, false, true},
+		{FalconFunc, 4, true, true, true},
 	}
 	for _, c := range cases {
 		p := PlanFor(c.sys, skb.TCP)
 		if len(p.Groups) != c.groups {
 			t.Errorf("%v: %d groups, want %d", c.sys, len(p.Groups), c.groups)
-		}
-		if p.Width() != c.width {
-			t.Errorf("%v: width %d, want %d", c.sys, p.Width(), c.width)
 		}
 		if p.Handoff != c.handoff || p.PreGROHandoff != c.preGRO {
 			t.Errorf("%v: handoff flags %v/%v", c.sys, p.Handoff, p.PreGROHandoff)
@@ -85,29 +81,5 @@ func TestStageNames(t *testing.T) {
 		if st.String() != name {
 			t.Errorf("%d name %q, want %q", st, st.String(), name)
 		}
-	}
-}
-
-func TestRPSTableStableAndSpread(t *testing.T) {
-	tab := &RPSTable{Mask: []int{2, 3, 4, 5}}
-	seen := map[int]int{}
-	for f := uint64(0); f < 400; f++ {
-		c := tab.CPUFor(f)
-		if c != tab.CPUFor(f) {
-			t.Fatal("steering must be stable per flow")
-		}
-		seen[c]++
-	}
-	if len(seen) != 4 {
-		t.Errorf("RPS spread over %d cores, want 4", len(seen))
-	}
-	for c := range seen {
-		if c < 2 || c > 5 {
-			t.Errorf("steered to core %d outside mask", c)
-		}
-	}
-	empty := &RPSTable{}
-	if empty.CPUFor(1) != 0 {
-		t.Error("empty mask should fall back to 0")
 	}
 }
