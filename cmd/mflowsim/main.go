@@ -14,8 +14,8 @@
 //
 // With -metrics the run attaches an observability registry and writes the
 // full metric snapshot for the measured window — per-stage latency and
-// inter-stage queueing histograms, sampled queue depths (NIC ring, backlogs,
-// sockets) and pipeline counters — as deterministic JSON.
+// inter-stage queueing histograms, exact time-weighted queue depths (NIC
+// ring, backlogs, sockets) and pipeline counters — as deterministic JSON.
 package main
 
 import (
@@ -349,7 +349,8 @@ func overloadNames() string {
 }
 
 // queueSummary picks the NIC ring and the deepest backlog out of the
-// sampled queue-depth series for the one-line report.
+// queue-depth series (exact time-weighted p99 and max from t=0) for the
+// one-line report.
 func queueSummary(snap obs.Snapshot) string {
 	var parts []string
 	var worst string
@@ -375,7 +376,7 @@ func queueSummary(snap obs.Snapshot) string {
 		parts = append(parts, worst)
 	}
 	if len(parts) == 0 {
-		return "(all sampled queues empty)"
+		return "(all queues empty)"
 	}
 	return strings.Join(parts, "; ")
 }

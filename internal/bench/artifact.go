@@ -72,7 +72,9 @@ type RunRecord struct {
 	StaleReleased   uint64 `json:"stale_released,omitempty"`
 	OFOPruned       uint64 `json:"ofo_pruned,omitempty"`
 
-	// Queue depths from the run's observability snapshot.
+	// Queue depths from the run's observability snapshot: exact
+	// time-weighted p99 and true max, over the run from t=0 (warmup
+	// included), of the NIC ring and of the backlog with the highest p99.
 	RingP99    int64 `json:"ring_p99,omitempty"`
 	RingMax    int64 `json:"ring_max,omitempty"`
 	BacklogP99 int64 `json:"backlog_p99,omitempty"`

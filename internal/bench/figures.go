@@ -311,13 +311,17 @@ func queueStats(res *overlay.Result) (ringP99, ringMax int64, worst string, wors
 	return
 }
 
-// Queues reports sampled queue occupancy — NIC descriptor ring and the
-// hottest softirq backlog — alongside throughput for every system at 64KB.
+// Queues reports queue occupancy — NIC descriptor ring and the hottest
+// softirq backlog — alongside throughput for every system at 64KB. Depths
+// are exact and time-weighted: p99 is the depth a queue stayed at or below
+// for 99% of the run, max the deepest it ever got. Both cover the run from
+// t=0, warmup included, because snapshot diffs keep histogram quantiles
+// cumulative.
 // This is the observability layer's view of the paper's §II argument: the
 // serialized systems throttle with deep standing queues on one core, while
 // MFLOW spreads shallower queues across the splitting cores.
 func (r *Runner) Queues() *Table {
-	t := &Table{ID: "queues", Title: "Sampled queue occupancy at 64KB (p99/max depth over the measured window)"}
+	t := &Table{ID: "queues", Title: "Queue occupancy at 64KB (time-weighted p99/max depth from t=0)"}
 	t.Columns = []string{"system", "proto", "Gbps", "ring p99/max", "hottest backlog", "backlog p99/max"}
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
 		for _, s := range steering.Systems {
@@ -332,7 +336,7 @@ func (r *Runner) Queues() *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"Depths are periodic simulated-time samples (obs queue-depth sampler); ring = NIC descriptor ring.")
+		"Depths are exact time-weighted occupancy over the whole run, warmup included; ring = NIC descriptor ring.")
 	return t
 }
 

@@ -87,16 +87,3 @@ func Map[T, R any](workers int, items []T, fn func(int, T) R) []R {
 	}
 	return out
 }
-
-// Job is one named unit of work. The name is a stable identifier (a
-// scenario key, a figure id) used for aggregation and diagnostics.
-type Job[R any] struct {
-	Name string
-	Run  func() R
-}
-
-// Run executes jobs on the pool and returns their results in submission
-// order. It is Map specialized to pre-bound closures.
-func Run[R any](workers int, jobs []Job[R]) []R {
-	return Map(workers, jobs, func(_ int, j Job[R]) R { return j.Run() })
-}

@@ -100,17 +100,6 @@ func TestMapRepanicsLowestIndex(t *testing.T) {
 	})
 }
 
-func TestRunJobs(t *testing.T) {
-	jobs := []Job[string]{
-		{Name: "a", Run: func() string { return "A" }},
-		{Name: "b", Run: func() string { return "B" }},
-	}
-	out := Run(2, jobs)
-	if out[0] != "A" || out[1] != "B" {
-		t.Fatalf("job results out of order: %v", out)
-	}
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers must be >= 1")

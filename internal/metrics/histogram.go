@@ -14,7 +14,9 @@ import (
 // Histogram is a log-bucketed histogram of non-negative int64 samples
 // (typically nanoseconds). Buckets grow geometrically: each power of two is
 // split into subBuckets linear sub-buckets, giving a bounded relative error
-// of about 1/subBuckets while using a few KB of memory regardless of range.
+// of about 1/subBuckets. Buckets are allocated only up to the largest one
+// recorded, so memory follows the range used: a queue depth that never
+// passes 64 costs 64 counters, a full int64 range at most numBuckets.
 type Histogram struct {
 	counts []uint64
 	n      uint64
@@ -29,12 +31,18 @@ const (
 	numBuckets = exactMax + (63-6+1)*subBuckets
 )
 
-// NewHistogram returns an empty histogram.
+// NewHistogram returns an empty histogram. It allocates no buckets until
+// the first sample.
 func NewHistogram() *Histogram {
-	return &Histogram{
-		counts: make([]uint64, numBuckets),
-		min:    math.MaxInt64,
-	}
+	return &Histogram{min: math.MaxInt64}
+}
+
+// grow extends counts to hold bucket b, at least doubling it so a rising
+// sequence reallocates O(log n) times; no bucket index reaches numBuckets.
+func (h *Histogram) grow(b int) {
+	counts := make([]uint64, min(max(b+1, 2*len(h.counts)), numBuckets))
+	copy(counts, h.counts)
+	h.counts = counts
 }
 
 // bucketOf maps a value to its bucket: values < 64 are exact; beyond that,
@@ -78,7 +86,7 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 	b := bucketOf(v)
 	if b >= len(h.counts) {
-		b = len(h.counts) - 1
+		h.grow(b)
 	}
 	h.counts[b] += n
 	h.n += n
@@ -159,6 +167,9 @@ func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
 // Merge adds all samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts) - 1)
+	}
 	for b, c := range other.counts {
 		h.counts[b] += c
 	}

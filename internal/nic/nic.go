@@ -137,16 +137,6 @@ func (n *NIC) AttachDriver(q int, w *sim.Worker[*skb.SKB]) {
 // Driver returns the worker attached to queue q.
 func (n *NIC) Driver(q int) *sim.Worker[*skb.SKB] { return n.drivers[q] }
 
-// RingDepth returns the current occupancy of queue q's descriptor ring
-// (0 if no driver is attached) — the signal the observability layer's
-// queue-depth sampler probes.
-func (n *NIC) RingDepth(q int) int {
-	if q < 0 || q >= len(n.drivers) || n.drivers[q] == nil {
-		return 0
-	}
-	return n.drivers[q].Len()
-}
-
 // QueueFor returns the RX queue an arriving frame of the given flow hashes
 // to. All frames of one flow map to one queue — RSS achieves inter-flow
 // parallelism only, which is precisely the limitation MFLOW addresses.

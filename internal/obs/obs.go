@@ -1,11 +1,11 @@
 // Package obs is the unified observability layer for the simulated receive
 // path: a hierarchically named metric registry (counters, gauges and the
-// log-bucketed metrics.Histogram behind one interface), a simulated-time
-// queue-depth sampler, and a Perfetto/Chrome trace-event exporter. The paper
-// argues entirely through measurements of this path — per-core softirq
-// utilization, backlog/ring occupancy, per-stage latency (PAPER.md §2,
-// Figs. 2-4) — and this package is how every experiment, benchmark and CLI in
-// the repository observes those signals through one object.
+// log-bucketed metrics.Histogram behind one interface) and a Perfetto/Chrome
+// trace-event exporter. The paper argues entirely through measurements of
+// this path — per-core softirq utilization, backlog/ring occupancy,
+// per-stage latency (PAPER.md §2, Figs. 2-4) — and this package is how every
+// experiment, benchmark and CLI in the repository observes those signals
+// through one object.
 //
 // A Registry is single-goroutine like the simulation itself: one run, one
 // scheduler, one registry. Parallel experiments each own a registry.
@@ -79,13 +79,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*metrics.Histogram
-
-	probes []probe
-	// tick is the running sampler's event (nil when stopped); it pins the
-	// scheduler, so StopSampler drops it along with the probes.
-	tick *samplerTick
-	// Samples counts sampler ticks taken so far.
-	Samples uint64
 }
 
 // New returns an empty registry.

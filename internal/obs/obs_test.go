@@ -3,8 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-
-	"mflow/internal/sim"
 )
 
 func TestNameCanonical(t *testing.T) {
@@ -50,9 +48,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Gauge("y").Set(1)
 	r.Histogram("z").Record(1)
 	r.GapTo("a")("b", 1)
-	r.SampleQueue("q", func() int { return 0 })
-	r.StartSampler(sim.NewScheduler(1), 0)
-	r.StopSampler()
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot should be nil")
 	}
@@ -109,78 +104,6 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(w1.String(), `"kind": "histogram"`) {
 		t.Errorf("missing histogram kind:\n%s", w1.String())
-	}
-}
-
-func TestSamplerRecordsDepths(t *testing.T) {
-	r := New()
-	sched := sim.NewScheduler(1)
-	depth := 0
-	r.SampleQueue("q", func() int { return depth })
-	r.StartSampler(sched, 10)
-
-	// Depth ramps 1,2,3,... on each tick boundary.
-	for i := 1; i <= 100; i++ {
-		i := i
-		sched.At(sim.Time(10*i-1), func() { depth = i })
-	}
-	sched.RunUntil(1000)
-	snap := r.Snapshot()
-	m, ok := snap.Get("queue_depth", "queue", "q")
-	if !ok {
-		t.Fatalf("no queue_depth series: %v", snap.Names())
-	}
-	if m.Count != r.Samples || m.Count < 90 {
-		t.Errorf("samples=%d count=%d", r.Samples, m.Count)
-	}
-	if m.Max < 90 || m.P99 < 50 {
-		t.Errorf("depth distribution wrong: %+v", m)
-	}
-
-	r.StopSampler()
-	before := r.Samples
-	sched.RunUntil(2000)
-	if r.Samples != before {
-		t.Error("sampler kept running after stop")
-	}
-}
-
-func TestSamplerDoubleStart(t *testing.T) {
-	r := New()
-	sched := sim.NewScheduler(1)
-	r.SampleQueue("q", func() int { return 1 })
-	r.StartSampler(sched, 100)
-	r.StartSampler(sched, 100) // must not double-tick
-	sched.RunUntil(1000)
-	if r.Samples != 10 {
-		t.Errorf("got %d samples, want 10", r.Samples)
-	}
-}
-
-// TestStopSamplerReleasesProbes pins the run-lifetime contract: a stopped
-// sampler keeps its histograms but no depth function (those close over the
-// simulation), and a restart after re-registering does not revive the
-// stale tick still pending from the first start.
-func TestStopSamplerReleasesProbes(t *testing.T) {
-	r := New()
-	sched := sim.NewScheduler(1)
-	r.SampleQueue("q", func() int { return 3 })
-	r.StartSampler(sched, 100)
-	sched.RunUntil(1000)
-	r.StopSampler()
-	if r.probes != nil || r.tick != nil {
-		t.Fatalf("stopped sampler still holds probes=%d tick=%v", len(r.probes), r.tick)
-	}
-	m, ok := r.Snapshot().Get("queue_depth", "queue", "q")
-	if !ok || m.Count != 10 || m.Max != 3 {
-		t.Fatalf("queue_depth after stop: ok=%v %+v", ok, m)
-	}
-	r.StartSampler(sched, 100) // nothing registered: no-op
-	r.SampleQueue("q", func() int { return 3 })
-	r.StartSampler(sched, 100)
-	sched.RunUntil(2000)
-	if r.Samples != 20 {
-		t.Errorf("restarted sampler took %d samples, want 20 (stale tick revived?)", r.Samples)
 	}
 }
 

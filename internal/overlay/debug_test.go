@@ -24,8 +24,8 @@ func TestDebugStages(t *testing.T) {
 	fmt.Println(r, "drops:", r.DropsRing, r.DropsSock, r.DropsBacklog)
 	for _, st := range h.stages {
 		w := st.worker
-		fmt.Printf("stage %-14s core=%d enq=%d proc=%d drop=%d depth=%d/%d polls=%d\n",
-			st.name, st.core().ID, w.Enqueued, w.Processed, w.Dropped, w.Len(), w.MaxDepth, w.PollRounds)
+		fmt.Printf("stage %-14s core=%d enq=%d proc=%d drop=%d depth=%d polls=%d\n",
+			st.name, st.core().ID, w.Enqueued, w.Processed, w.Dropped, w.Len(), w.PollRounds)
 	}
 	for _, fp := range h.flows {
 		fmt.Printf("sock bytes=%d msgs=%d drop=%d qlen=%d\n", fp.sock.Bytes, fp.sock.Msgs, fp.sock.Dropped(), fp.sock.Worker().Len())

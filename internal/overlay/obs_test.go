@@ -1,10 +1,13 @@
 package overlay
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mflow/internal/fabric"
 	"mflow/internal/obs"
+	"mflow/internal/overload"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
@@ -58,7 +61,7 @@ func TestObsStageLatencyCountsMatchDeliveries(t *testing.T) {
 }
 
 // TestObsQueueDepthsNonZero asserts the other run-level acceptance
-// criterion: a MFLOW TCP run samples non-zero p99 depth for the NIC ring
+// criterion: a MFLOW TCP run records non-zero p99 depth for the NIC ring
 // and for at least one backlog queue.
 func TestObsQueueDepthsNonZero(t *testing.T) {
 	sc, _ := obsScenario()
@@ -70,8 +73,8 @@ func TestObsQueueDepthsNonZero(t *testing.T) {
 	if ring.P99 <= 0 {
 		t.Errorf("NIC ring p99 depth is zero: %+v", ring)
 	}
-	if ring.Count == 0 {
-		t.Error("sampler took no ring samples in the measured window")
+	if ring.Count != uint64(sc.Measure) {
+		t.Errorf("ring depth covers %d ns of the %d ns measured window", ring.Count, sc.Measure)
 	}
 	var backlogP99 int64
 	for _, name := range res.Obs.Names() {
@@ -80,7 +83,83 @@ func TestObsQueueDepthsNonZero(t *testing.T) {
 		}
 	}
 	if backlogP99 <= 0 {
-		t.Error("no backlog queue sampled a non-zero p99 depth")
+		t.Error("no backlog queue recorded a non-zero p99 depth")
+	}
+}
+
+// TestObsRingIsFirstBacklog pins that the NIC ring and its first stage's
+// backlog, being one queue, report identical occupancy series.
+func TestObsRingIsFirstBacklog(t *testing.T) {
+	for _, sys := range []steering.System{steering.Vanilla, steering.MFlow} {
+		sc, _ := obsScenario()
+		sc.System = sys
+		h := testHost(sc.withDefaults(), Probes{})
+		backlog := ""
+		for i, st := range h.stages {
+			if st.worker == h.nic.Driver(0) {
+				backlog = fmt.Sprintf("backlog:%s#%d", st.name, i)
+			}
+		}
+		if backlog == "" {
+			t.Fatalf("%s: no stage drives ring 0", sys)
+		}
+		res := h.run()
+		ring, _ := res.Obs.Get("queue_depth", "queue", "nic_ring0")
+		first, ok := res.Obs.Get("queue_depth", "queue", backlog)
+		if !ok || ring != first || ring.Max == 0 {
+			t.Errorf("%s: nic_ring0 %+v, %s %+v", sys, ring, backlog, first)
+		}
+	}
+}
+
+// TestObsIdleRingAccounted checks a TX-only fabric host's idle NIC queue,
+// which has no driver worker, still reports a ring series: empty for the
+// whole measured window.
+func TestObsIdleRingAccounted(t *testing.T) {
+	sc := fabricScenario(steering.MFlow, skb.TCP, 3)
+	sc.Fabric.Placement = fabric.PlaceIncast
+	res := Run(sc)
+	idle, ok := res.Obs.Get("queue_depth", "queue", "h1:nic_ring0")
+	if !ok || idle.Count != uint64(sc.Measure) || idle.Max != 0 {
+		t.Errorf("TX-only host ring: ok=%v %+v", ok, idle)
+	}
+	if busy, _ := res.Obs.Get("queue_depth", "queue", "h0:nic_ring0"); busy.Max == 0 {
+		t.Errorf("receiving host ring never occupied: %+v", busy)
+	}
+}
+
+// TestObsRegistryIsPure runs a plain, a fabric and an overload scenario
+// with and without a registry: apart from the obs lines themselves the
+// fingerprints must be identical, since recording never schedules or
+// draws randomness.
+func TestObsRegistryIsPure(t *testing.T) {
+	withoutObs := func(fp string) string {
+		var keep []string
+		for _, line := range strings.Split(fp, "\n") {
+			if !strings.HasPrefix(line, "obs ") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"plain", determinismScenario(steering.MFlow, skb.TCP)},
+		{"fabric", fabricScenario(steering.MFlow, skb.UDP, 2)},
+		{"overload", overloadScenario(steering.MFlow, skb.UDP, overload.Profiles()["pressure"])},
+	} {
+		plain, observed := tc.sc, tc.sc
+		plain.Obs, observed.Obs = nil, obs.New()
+		a := Run(plain).Fingerprint()
+		res := Run(observed)
+		if len(res.Obs) == 0 {
+			t.Fatalf("%s: observed run has an empty snapshot", tc.name)
+		}
+		if b := withoutObs(res.Fingerprint()); a != b {
+			t.Errorf("%s: the registry perturbed the run:\n--- plain ---\n%s\n--- observed ---\n%s", tc.name, a, b)
+		}
 	}
 }
 

@@ -157,17 +157,14 @@ func (h *host) run() *Result {
 // pass every host plus the cross-host state. sc is the run-wide scenario
 // (for fabric runs the global one, with the total flow count).
 func runHosts(sc Scenario, sched *sim.Scheduler, hosts []*host, fs *fabState) *Result {
-	// Queue-depth sampling runs through warmup and measurement alike; the
-	// warmup-boundary snapshot below separates the windows.
-	sc.Obs.StartSampler(sched, 0)
-
 	var allCores []*sim.Core
 	for _, h := range hosts {
 		allCores = append(allCores, h.cores...)
 	}
 
 	// Warmup: let windows fill and queues reach steady state.
-	sched.RunUntil(sim.Time(sc.Warmup))
+	warm := sim.Time(sc.Warmup)
+	sched.RunUntil(warm)
 	busy0, tags0 := metrics.CaptureBusy(allCores)
 	snap0 := countersAll(hosts, fs)
 	inFlight0 := 0
@@ -175,7 +172,7 @@ func runHosts(sc Scenario, sched *sim.Scheduler, hosts []*host, fs *fabState) *R
 		inFlight0 = fs.un.InFlight()
 	}
 	for _, h := range hosts {
-		h.syncObs()
+		h.syncObs(warm)
 	}
 	if fs != nil {
 		fs.syncObs(sc)
@@ -294,9 +291,8 @@ func runHosts(sc Scenario, sched *sim.Scheduler, hosts []*host, fs *fabState) *R
 	}
 	res.Breakdown = hosts[0].prof.Breakdown()
 	if sc.Obs != nil {
-		sc.Obs.StopSampler()
 		for _, h := range hosts {
-			h.syncObs()
+			h.syncObs(end)
 		}
 		if fs != nil {
 			fs.syncObs(sc)
@@ -308,12 +304,17 @@ func runHosts(sc Scenario, sched *sim.Scheduler, hosts []*host, fs *fabState) *R
 
 // syncObs mirrors the externally accumulated monotonic stats — every
 // obs-tagged Counters field, plus the registry-only NIC IRQ, memory-account,
-// per-stage and per-device totals — into the scenario's registry. It runs at
-// both window boundaries so Snapshot.Diff yields correct per-window deltas.
-func (h *host) syncObs() {
+// per-stage and per-device totals — into the scenario's registry, and
+// flushes the queue-occupancy accumulators up to the boundary instant at.
+// It runs at both window boundaries so Snapshot.Diff yields correct
+// per-window deltas.
+func (h *host) syncObs(at sim.Time) {
 	reg := h.sc.Obs
 	if reg == nil {
 		return
+	}
+	for _, o := range h.occupancy {
+		o.Flush(at)
 	}
 	// pfx is empty on a single host; fabric hosts prefix their Set-based
 	// counters ("h0:nic_received") so N hosts sharing one registry don't

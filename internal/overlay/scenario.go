@@ -129,8 +129,8 @@ type Scenario struct {
 	// (subject to the tracer's own filters and cap).
 	Tracer *trace.Tracer
 	// Obs, when set, attaches the unified observability layer: per-stage
-	// latency and inter-stage gap histograms for every packet, periodic
-	// queue-depth sampling of the NIC rings / backlogs / socket queues,
+	// latency and inter-stage gap histograms for every packet, exact
+	// time-weighted occupancy of the NIC rings / backlogs / socket queues,
 	// and NIC/device counters. Nil disables it with zero hot-path cost.
 	Obs *obs.Registry
 	// CoreLog, when set, records every per-core execution interval for

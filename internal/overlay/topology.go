@@ -58,6 +58,11 @@ type host struct {
 	// this host sends cross-host.
 	obsPfx   string
 	ackExtra sim.Duration
+
+	// occupancy lists the accumulators armProbes attached to this host's
+	// queues; syncObs flushes them into the registry at each window
+	// boundary.
+	occupancy []*sim.Occupancy
 }
 
 // ackRelay carries one acknowledgement (cumulative or duplicate) across the
@@ -650,18 +655,32 @@ func (h *host) armProbes() {
 		}
 	}
 	if reg != nil {
-		// Queue-depth probes: the NIC descriptor rings, every softirq
-		// backlog (keyed by stage name and a build-order index so parallel
-		// branches stay distinguishable), and each flow's socket receive
-		// queue.
+		// Exact time-weighted occupancy (queue_depth: count is ns observed,
+		// p99 the depth held or below 99% of the time) of the NIC
+		// descriptor rings, every softirq backlog (keyed by stage name and
+		// a build-order index so parallel branches stay distinguishable),
+		// and each flow's socket receive queue. A ring is its first
+		// stage's worker, whose one accumulator feeds both series.
+		track := func(name string, w *sim.Worker[*skb.SKB]) {
+			if w == nil {
+				// A NIC queue with no driver (a TX-only fabric host's
+				// idle queue) stays empty; account it as such.
+				w = &sim.Worker[*skb.SKB]{}
+			}
+			if w.Occupancy == nil {
+				w.Occupancy = sim.NewOccupancy(h.sched.Now(), w.Len())
+				h.occupancy = append(h.occupancy, w.Occupancy)
+			}
+			w.Occupancy.Into(reg.Histogram("queue_depth", "queue", h.obsPfx+name).RecordN)
+		}
 		for q := 0; q < h.nic.Config().Queues; q++ {
-			reg.SampleQueue(fmt.Sprintf("%snic_ring%d", h.obsPfx, q), func() int { return h.nic.RingDepth(q) })
+			track(fmt.Sprintf("nic_ring%d", q), h.nic.Driver(q))
 		}
 		for i, st := range h.stages {
-			reg.SampleQueue(fmt.Sprintf("%sbacklog:%s#%d", h.obsPfx, st.name, i), st.worker.Len)
+			track(fmt.Sprintf("backlog:%s#%d", st.name, i), st.worker)
 		}
 		for i, fp := range h.flows {
-			reg.SampleQueue(fmt.Sprintf("%ssocket:flow%d", h.obsPfx, i+1), fp.sock.Worker().Len)
+			track(fmt.Sprintf("socket:flow%d", i+1), fp.sock.Worker())
 		}
 	}
 	if p == nil && fr == nil {

@@ -140,6 +140,29 @@ func BenchmarkWorkerPipeline(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkWorkerPipelineObserved is BenchmarkWorkerPipeline with an
+// occupancy accumulator attached: the per-change accounting must stay at
+// 0 allocs/op (gated in CI) once its per-depth slice has grown.
+func BenchmarkWorkerPipelineObserved(b *testing.B) {
+	s := NewScheduler(1)
+	c := NewCore(0, s)
+	w := NewWorker("bench", c, s, func(int) Duration { return 50 }, func(int, Time) {})
+	w.Occupancy = NewOccupancy(0, 0)
+	var sum uint64
+	w.Occupancy.Into(func(d int64, ns uint64) { sum += uint64(d) * ns })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Enqueue(i)
+		if i%1024 == 1023 {
+			s.Run()
+			w.Occupancy.Flush(s.Now())
+		}
+	}
+	s.Run()
+	w.Occupancy.Flush(s.Now())
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := NewRand(1)
 	for i := 0; i < b.N; i++ {

@@ -57,6 +57,10 @@ type Worker[T any] struct {
 	// to split queue-wait from service time on workers it cannot wrap
 	// (e.g. socket delivery-copy workers).
 	ServeLog func(item T, start, end Time)
+	// Occupancy, if non-nil, is told of every change of the queue's depth
+	// (enqueue, poll round, steal) for exact time-weighted accounting.
+	// Observation only, like ServeLog.
+	Occupancy *Occupancy
 
 	// The FIFO is queue[head:]: a poll round takes its batch in place and
 	// advances head, so the undrained backlog is not copied every round.
@@ -78,7 +82,6 @@ type Worker[T any] struct {
 	Enqueued   uint64
 	Processed  uint64
 	Dropped    uint64
-	MaxDepth   int
 	PollRounds uint64
 }
 
@@ -123,6 +126,9 @@ func (w *Worker[T]) StealQueue() []T {
 	out := buf[w.head:]
 	w.queue, w.head = w.spare[:0], 0
 	w.spare = buf[:0] // recycle the buffer once the caller is done with it
+	if o := w.Occupancy; o != nil {
+		o.Set(w.Sched.Now(), 0)
+	}
 	return out
 }
 
@@ -144,8 +150,8 @@ func (w *Worker[T]) Enqueue(item T) bool {
 	}
 	w.queue = append(w.queue, item)
 	w.Enqueued++
-	if d := w.Len(); d > w.MaxDepth {
-		w.MaxDepth = d
+	if o := w.Occupancy; o != nil {
+		o.Set(w.Sched.Now(), w.Len())
 	}
 	w.kick()
 	return true
@@ -197,6 +203,9 @@ func (w *Worker[T]) poll() {
 	// compact that ends this round — batches never outlive their poll.
 	batch := w.queue[w.head : w.head+n : w.head+n]
 	w.head += n
+	if o := w.Occupancy; o != nil {
+		o.Set(w.Sched.Now(), w.Len())
+	}
 
 	if w.PollOverhead > 0 {
 		if w.pollTag == "" {

@@ -311,3 +311,43 @@ func TestWorkerStealAfterPartialPoll(t *testing.T) {
 		t.Fatalf("stole %v, want 8..19", stolen)
 	}
 }
+
+// TestWorkerOccupancy checks the worker reports every change of depth —
+// enqueue, poll round and steal — so the accumulator's time at each depth
+// adds up to the queue's actual history.
+func TestWorkerOccupancy(t *testing.T) {
+	s := NewScheduler(1)
+	c := NewCore(1, s)
+	w := NewWorker("w", c, s, func(int) Duration { return 10 }, func(int, Time) {})
+	w.Budget, w.WakeDelay = 4, 100
+	w.Occupancy = NewOccupancy(0, 0)
+	held := map[int64]uint64{}
+	w.Occupancy.Into(func(d int64, ns uint64) { held[d] += ns })
+
+	s.At(50, func() {
+		for i := 0; i < 10; i++ {
+			w.Enqueue(i) // depth 10 from t=50
+		}
+	})
+	// The poll round at 150 takes 4 (depth 6); the steal at 170 empties
+	// the queue before the next round.
+	s.RunUntil(160)
+	s.At(170, func() { w.StealQueue() })
+	s.RunUntil(300)
+	w.Occupancy.Flush(300)
+
+	want := map[int64]uint64{0: 50 + 130, 10: 100, 6: 20}
+	for d := range held {
+		if held[d] == 0 {
+			delete(held, d)
+		}
+	}
+	if len(held) != len(want) {
+		t.Fatalf("held %v, want %v", held, want)
+	}
+	for d, ns := range want {
+		if held[d] != ns {
+			t.Errorf("depth %d held %d ns, want %d (all: %v)", d, held[d], ns, held)
+		}
+	}
+}
