@@ -15,7 +15,7 @@ import (
 
 // ArtifactSchema versions the BENCH_*.json layout; bump it when record
 // fields change incompatibly so LoadArtifact can refuse mismatched baselines.
-const ArtifactSchema = "mflow-bench/v1"
+const ArtifactSchema = "mflow-bench/v2"
 
 // Artifact is the machine-readable companion to a figure's text tables:
 // one record per scenario run (keyed by the scenario's stable cache key)

@@ -232,9 +232,10 @@ func (in *Injector) Drops() uint64 {
 }
 
 // dropWire advances the burst channel one packet and decides a wire drop.
+// A zero channel can never drop, so it draws nothing, exactly like nil.
 func (in *Injector) dropWire() (drop, burst bool) {
 	p := in.plan.Wire
-	if g := p.Burst; g != nil {
+	if g := p.Burst; g != nil && *g != (GilbertElliott{}) {
 		if in.bad {
 			if in.rng.Float64() < g.PBadGood {
 				in.bad = false

@@ -270,3 +270,22 @@ func TestMeanLoss(t *testing.T) {
 		t.Fatal("nil GE must report 0")
 	}
 }
+
+// TestZeroBurstIsNil: a zero Gilbert–Elliott channel never drops, so it
+// must not draw either — a plan with it decides every frame exactly like
+// the same plan with a nil Burst (the scenario key reads nil as zero).
+func TestZeroBurstIsNil(t *testing.T) {
+	plan := Plan{Wire: Profile{Drop: 0.2, Dup: 0.1, Corrupt: 0.1}}
+	want, wantTotal := run2(plan, 7)
+	plan.Wire.Burst = &GilbertElliott{}
+	got, gotTotal := run2(plan, 7)
+	if gotTotal != wantTotal || len(got) != len(want) {
+		t.Fatalf("zero burst changed decisions: %d faults, %d delivered; nil burst: %d, %d",
+			gotTotal, len(got), wantTotal, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d differs: seq %d vs %d", i, got[i], want[i])
+		}
+	}
+}

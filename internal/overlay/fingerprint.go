@@ -36,14 +36,10 @@ func (r *Result) Fingerprint() string {
 		r.WatchdogResteers, r.WatchdogResteeredSKBs,
 		r.DegradeCollapses, r.DegradeRestores, r.ReasmBudgetReleased,
 		r.WatchdogRecoveryMaxNs, r.MemPeakBytes, r.AQMSojournP99)
-	if r.Scenario.Fabric.Enabled() {
-		// Conditional so single-host fingerprints (committed artifacts
-		// among them) are byte-identical to pre-fabric builds.
-		fmt.Fprintf(&b, "fabric sent=%d delivered=%d drops=%d copies=%d floods=%d learned=%d aged=%d inflight=%d/%d\n",
-			r.UnderlaySent, r.UnderlayDelivered, r.UnderlayDrops, r.UnderlayFloodCopies,
-			r.FDBFloods, r.FDBLearned, r.FDBAged,
-			r.UnderlayInFlightStart, r.UnderlayInFlightEnd)
-	}
+	fmt.Fprintf(&b, "fabric sent=%d delivered=%d drops=%d copies=%d floods=%d learned=%d aged=%d inflight=%d/%d\n",
+		r.UnderlaySent, r.UnderlayDelivered, r.UnderlayDrops, r.UnderlayFloodCopies,
+		r.FDBFloods, r.FDBLearned, r.FDBAged,
+		r.UnderlayInFlightStart, r.UnderlayInFlightEnd)
 	if r.Latency != nil {
 		fmt.Fprintf(&b, "latency count=%d sum=%s min=%d p50=%d p99=%d max=%d\n",
 			r.Latency.Count(), f(r.Latency.Sum()),

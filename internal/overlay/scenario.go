@@ -3,6 +3,7 @@ package overlay
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 
 	"mflow/internal/causal"
@@ -127,19 +128,19 @@ type Scenario struct {
 	SharedQueue bool
 	// Tracer, when set, records per-packet journeys through the pipeline
 	// (subject to the tracer's own filters and cap).
-	Tracer *trace.Tracer
+	Tracer *trace.Tracer `key:"-"`
 	// Obs, when set, attaches the unified observability layer: per-stage
 	// latency and inter-stage gap histograms for every packet, exact
 	// time-weighted occupancy of the NIC rings / backlogs / socket queues,
 	// and NIC/device counters. Nil disables it with zero hot-path cost.
-	Obs *obs.Registry
+	Obs *obs.Registry `key:"-"`
 	// CoreLog, when set, records every per-core execution interval for
 	// Perfetto/Chrome trace export (obs.ExportChromeTrace).
-	CoreLog *obs.CoreLog
+	CoreLog *obs.CoreLog `key:"-"`
 	// Capture, when set together with WireMode, streams every frame
 	// arriving at a receiving NIC (every host's, on a fabric run) into one
 	// pcap capture written to this writer.
-	Capture io.Writer
+	Capture io.Writer `key:"-"`
 	// CopyThreads parallelizes the user-space delivery copy across this
 	// many application cores (the paper's stated future work for the
 	// residual core-0 bottleneck). Default 1 — the paper's system.
@@ -172,7 +173,7 @@ type Scenario struct {
 	// with polling-mode masking), reassembler graceful degradation, and
 	// the stall watchdog that re-steers micro-flows off stalled cores.
 	// A nil or zero config wires nothing, leaving the run bit-for-bit
-	// identical to one without the subsystem (Key unchanged).
+	// identical to one without the subsystem.
 	Overload *overload.Config
 	// Fabric, when non-nil with Hosts >= 2, runs the scenario on a
 	// multi-host fabric: N simulated hosts share this run's DES clock,
@@ -181,7 +182,7 @@ type Scenario struct {
 	// model (per-link propagation latency, bandwidth serialization,
 	// bounded tail-drop queues) into the RX host's NIC ring. A nil or
 	// zero config builds the classic single host, bit-for-bit identical
-	// to a run minted before the fabric existed (Key unchanged).
+	// to a run minted before the fabric existed.
 	Fabric *fabric.Config
 	// Seed makes the run deterministic.
 	Seed uint64
@@ -230,60 +231,57 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// Key renders a stable identity for the scenario's measured
-// configuration: every field that can change a run's outcome, by value
-// (Costs and Faults dereferenced, so two scenarios built from separate
-// but equal cost tables share a key across processes), with the pure
-// observability attachments — Obs, Tracer, CoreLog, Capture — excluded:
-// attaching a fresh registry must not change a scenario's identity.
-// Two scenarios with equal keys produce identical Results; the bench
-// cache and the BENCH_*.json baseline comparison both key on it.
+// Key renders the scenario's canonical, versioned identity: "v2 System:<s>
+// Proto:<p>", then " Path:value" (" MFlow.SplitCores:3") for each leaf of
+// the defaulted scenario that differs from the defaulted {System, Proto}
+// one, in declaration order, printed exactly with %#v. A nil pointer reads
+// as its zero value and fields tagged `key:"-"` (observers) are skipped, so
+// two scenarios share a key iff their defaulted configurations are equal.
 func (sc Scenario) Key() string {
-	costs := ""
-	if sc.Costs != nil {
-		costs = fmt.Sprintf("%+v", *sc.Costs)
-	}
-	faults := ""
-	if sc.Faults != nil {
-		f := *sc.Faults
-		if f.Wire.Burst != nil {
-			burst := *f.Wire.Burst
-			f.Wire.Burst = nil
-			faults = fmt.Sprintf("%+v burst=%+v", f, burst)
-		} else {
-			faults = fmt.Sprintf("%+v", f)
+	var b strings.Builder
+	fmt.Fprintf(&b, "v2 System:%v Proto:%v", sc.System, sc.Proto)
+	base := Scenario{System: sc.System, Proto: sc.Proto}.withDefaults()
+	keyDiff(&b, "", "", reflect.ValueOf(sc.withDefaults()), reflect.ValueOf(base))
+	return b.String()
+}
+
+// keyDiff appends " prefix+name:value" for every leaf of v that differs
+// from the same leaf of base. A leaf that is not a bool, integer, float or
+// string panics: a new kind of field needs a decision on how it is keyed.
+func keyDiff(b *strings.Builder, prefix, name string, v, base reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		keyDiff(b, prefix, name, elemOrZero(v), elemOrZero(base))
+	case reflect.Struct:
+		if v.Equal(base) {
+			return // no leaf differs; skips the costly per-field walk
 		}
+		if name != "" {
+			prefix += name + "."
+		}
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.Tag.Get("key") != "-" {
+				keyDiff(b, prefix, f.Name, v.Field(i), base.Field(i))
+			}
+		}
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.String:
+		if !v.Equal(base) {
+			fmt.Fprintf(b, " %s%s:%#v", prefix, name, v)
+		}
+	default:
+		panic(fmt.Sprintf("overlay: Scenario.Key cannot encode %s%s (%s)", prefix, name, v.Type()))
 	}
-	ov := ""
-	if sc.Overload.Enabled() {
-		ov = fmt.Sprintf("%+v", *sc.Overload)
+}
+
+// elemOrZero dereferences a pointer, reading nil as the zero value.
+func elemOrZero(v reflect.Value) reflect.Value {
+	if v.IsNil() {
+		return reflect.Zero(v.Type().Elem())
 	}
-	fab := ""
-	if sc.Fabric.Enabled() {
-		fab = fmt.Sprintf("%+v", *sc.Fabric)
-	}
-	sc.Costs = nil
-	sc.Faults = nil
-	sc.Obs = nil
-	sc.Tracer = nil
-	sc.CoreLog = nil
-	sc.Capture = nil
-	sc.Overload = nil
-	sc.Fabric = nil
-	key := fmt.Sprintf("%+v|costs={%s}|faults={%s}", sc, costs, faults)
-	// Strip the nil Overload and Fabric fields from the rendering so every
-	// key minted before those subsystems existed stays byte-identical;
-	// enabled configs append their own block (by value, like costs and
-	// faults).
-	key = strings.Replace(key, " Overload:<nil>", "", 1)
-	key = strings.Replace(key, " Fabric:<nil>", "", 1)
-	if ov != "" {
-		key += fmt.Sprintf("|overload={%s}", ov)
-	}
-	if fab != "" {
-		key += fmt.Sprintf("|fabric={%s}", fab)
-	}
-	return key
+	return v.Elem()
 }
 
 // Name renders a compact scenario identifier.

@@ -24,10 +24,13 @@ const (
 
 // String names the protocol.
 func (p Proto) String() string {
-	if p == TCP {
+	switch p {
+	case TCP:
 		return "TCP"
+	case UDP:
+		return "UDP"
 	}
-	return "UDP"
+	return fmt.Sprintf("proto(%d)", int(p))
 }
 
 // ParseProto parses a transport name, case-insensitively: tcp or udp.
