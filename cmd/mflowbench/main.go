@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"mflow/internal/bench"
@@ -39,8 +40,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mflowbench", flag.ExitOnError)
 	fs.SetOutput(stderr)
+	figs := make([]string, len(bench.Figures))
+	for i, f := range bench.Figures {
+		figs[i] = f.Name
+	}
 	var (
-		fig      = fs.String("fig", "all", "figure to regenerate: 4|7|8|9|10|11|12|13|queues|ablations|extensions|chaos|overload|fabric|wire|all")
+		fig      = fs.String("fig", "all", "figure to regenerate: "+strings.Join(figs, "|"))
 		measure  = fs.Int("measure-ms", 12, "measured window per run (simulated ms)")
 		warmup   = fs.Int("warmup-ms", 3, "warmup per run (simulated ms)")
 		seed     = fs.Uint64("seed", 42, "simulation seed")

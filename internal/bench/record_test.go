@@ -33,11 +33,11 @@ func TestPlansCoverFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every figure")
 	}
-	for _, fig := range Figures {
+	for _, f := range Figures {
+		fig := f.Name
 		if fig == "all" {
 			continue // union of the others; covered piecewise
 		}
-		fig := fig
 		t.Run(fig, func(t *testing.T) {
 			t.Parallel()
 			r := fastRunner()

@@ -179,8 +179,29 @@ func (r *Runner) caching(sys steering.System, clients int) *apps.CachingResult {
 	return memo(r, key, func() *apps.CachingResult { return apps.RunDataCaching(cfg) }, &apps.CachingResult{})
 }
 
-// Figures lists every figure identifier Tables accepts, in paper order.
-var Figures = []string{"4", "7", "8", "9", "10", "11", "12", "13", "queues", "ablations", "extensions", "chaos", "overload", "fabric", "wire", "all"}
+// Figures lists every figure identifier Tables accepts, in paper order,
+// with the builder that renders it.
+var Figures = []struct {
+	Name  string
+	build func(*Runner) []*Table
+}{
+	{"4", (*Runner).Fig4},
+	{"7", func(r *Runner) []*Table { return []*Table{r.Fig7()} }},
+	{"8", (*Runner).Fig8},
+	{"9", (*Runner).Fig9},
+	{"10", (*Runner).Fig10},
+	{"11", (*Runner).Fig11},
+	{"12", func(r *Runner) []*Table { return []*Table{r.Fig12()} }},
+	{"13", func(r *Runner) []*Table { return []*Table{r.Fig13()} }},
+	{"queues", func(r *Runner) []*Table { return []*Table{r.Queues()} }},
+	{"ablations", (*Runner).Ablations},
+	{"extensions", (*Runner).Extensions},
+	{"chaos", (*Runner).Chaos},
+	{"overload", (*Runner).Overload},
+	{"fabric", (*Runner).Fabric},
+	{"wire", (*Runner).Wire},
+	{"all", (*Runner).All},
+}
 
 // Tables builds the named figure's tables. When r.Parallel > 1, the
 // figure's recorded job list (see record.go) is first executed on the
@@ -195,39 +216,10 @@ func (r *Runner) Tables(fig string) ([]*Table, error) {
 
 // build runs the named figure's builder.
 func (r *Runner) build(fig string) ([]*Table, error) {
-	switch fig {
-	case "4":
-		return r.Fig4(), nil
-	case "7":
-		return []*Table{r.Fig7()}, nil
-	case "8":
-		return r.Fig8(), nil
-	case "9":
-		return r.Fig9(), nil
-	case "10":
-		return r.Fig10(), nil
-	case "11":
-		return r.Fig11(), nil
-	case "12":
-		return []*Table{r.Fig12()}, nil
-	case "13":
-		return []*Table{r.Fig13()}, nil
-	case "queues":
-		return []*Table{r.Queues()}, nil
-	case "ablations":
-		return r.Ablations(), nil
-	case "extensions":
-		return r.Extensions(), nil
-	case "chaos":
-		return r.Chaos(), nil
-	case "overload":
-		return r.Overload(), nil
-	case "fabric":
-		return r.Fabric(), nil
-	case "wire":
-		return r.Wire(), nil
-	case "all":
-		return r.All(), nil
+	for _, f := range Figures {
+		if f.Name == fig {
+			return f.build(r), nil
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown figure %q", fig)
 }

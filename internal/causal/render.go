@@ -29,8 +29,8 @@ func RenderTimeline(r *Rec) string {
 }
 
 // RenderBreakdown formats a breakdown as aligned rows with each row's share
-// of the summed segment time — the plain-text view mflowinspect prints and
-// tests fingerprint for determinism.
+// of the summed segment time. It is the text the breakdown goldens pin and
+// the determinism tests compare; mflowinspect prints bench.BreakdownTable.
 func RenderBreakdown(stats []KindStat) string {
 	var total sim.Duration
 	for _, st := range stats {

@@ -171,8 +171,8 @@ func TestReassemblerHoldsEarlyMicroFlow(t *testing.T) {
 			t.Fatalf("order %v", out)
 		}
 	}
-	if r.Counter() != 3 {
-		t.Errorf("counter=%d, want 3", r.Counter())
+	if r.counter != 3 {
+		t.Errorf("counter=%d, want 3", r.counter)
 	}
 	// The two mf1 segments arrived after mf2's higher sequences: two
 	// inversions by the reordering metric.
@@ -191,8 +191,8 @@ func TestReassemblerGROStraddlesBatches(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatal("straddling super-packet must deliver")
 	}
-	if r.Counter() != 3 {
-		t.Errorf("counter=%d, want 3 (crossed two batch boundaries)", r.Counter())
+	if r.counter != 3 {
+		t.Errorf("counter=%d, want 3 (crossed two batch boundaries)", r.counter)
 	}
 	next := seg(8, 1)
 	next.MicroFlow = 3

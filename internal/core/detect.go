@@ -34,10 +34,14 @@ type flowStat struct {
 	sawWindow   bool
 }
 
+// DefaultThresholdBps is the elephant promotion threshold NewDetector
+// uses: 1 Gbps.
+const DefaultThresholdBps = 1e9
+
 // NewDetector returns a detector with the default policy.
 func NewDetector() *Detector {
 	return &Detector{
-		ThresholdBps: 1e9,
+		ThresholdBps: DefaultThresholdBps,
 		Window:       sim.Millisecond,
 		Alpha:        0.5,
 	}
@@ -111,15 +115,4 @@ func (d *Detector) IsElephant(flowID uint64) bool {
 	}
 	st := d.flows[flowID]
 	return st != nil && st.elephant
-}
-
-// Rate returns the flow's current EWMA rate in bits per second.
-func (d *Detector) Rate(flowID uint64) float64 {
-	if d.flows == nil {
-		return 0
-	}
-	if st := d.flows[flowID]; st != nil {
-		return st.rateBps
-	}
-	return 0
 }

@@ -19,7 +19,7 @@ func TestDetectorPromotesElephant(t *testing.T) {
 		now = sim.Time((w + 1)) * sim.Time(sim.Millisecond)
 	}
 	if !d.IsElephant(1) {
-		t.Fatalf("2 Gbps flow not promoted (rate=%.2g)", d.Rate(1))
+		t.Fatalf("2 Gbps flow not promoted (rate=%.2g)", d.flows[1].rateBps)
 	}
 	if d.Promotions != 1 {
 		t.Errorf("Promotions=%d, want 1", d.Promotions)
@@ -87,8 +87,8 @@ func TestDetectorIdleGapDecays(t *testing.T) {
 	}
 	// A long silence then one packet: the rate must have decayed.
 	d.Observe(4, 1500, sim.Time(500*sim.Millisecond))
-	if d.Rate(4) > 1e9 {
-		t.Errorf("rate %.2g did not decay across idle gap", d.Rate(4))
+	if d.flows[4].rateBps > 1e9 {
+		t.Errorf("rate %.2g did not decay across idle gap", d.flows[4].rateBps)
 	}
 }
 

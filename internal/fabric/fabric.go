@@ -136,14 +136,6 @@ func (l *Link) Send(now sim.Time, bytes int) (sim.Time, bool) {
 	return l.horizon, true
 }
 
-// Depth returns the queued backlog in bytes at now.
-func (l *Link) Depth(now sim.Time) int {
-	if l.horizon <= now {
-		return 0
-	}
-	return int(float64(l.horizon.Sub(now)) * l.Gbps / 8)
-}
-
 // Underlay connects N hosts through per-host uplink/downlink serializers
 // and a propagation delay between them (host → switch → host). Frames are
 // events on the shared scheduler; delivery lands in DeliverTo, which the

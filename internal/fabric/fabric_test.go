@@ -10,6 +10,15 @@ import (
 	"mflow/internal/skb"
 )
 
+// depth is the link's queued backlog in bytes at now: the analytic
+// oracle for the serializer's horizon.
+func depth(l *Link, now sim.Time) int {
+	if l.horizon <= now {
+		return 0
+	}
+	return int(float64(l.horizon.Sub(now)) * l.Gbps / 8)
+}
+
 func TestConfigEnabled(t *testing.T) {
 	var nilCfg *Config
 	if nilCfg.Enabled() {
@@ -75,14 +84,14 @@ func TestLinkSerialization(t *testing.T) {
 	if !ok || dep != 2000 {
 		t.Fatalf("second frame dep=%v ok=%v, want 2000ns", dep, ok)
 	}
-	if d := l.Depth(0); d != 250 {
-		t.Errorf("Depth(0) = %d bytes, want 250", d)
+	if d := depth(l, 0); d != 250 {
+		t.Errorf("depth(0) = %d bytes, want 250", d)
 	}
-	if d := l.Depth(1000); d != 125 {
-		t.Errorf("Depth(1000) = %d bytes, want 125", d)
+	if d := depth(l, 1000); d != 125 {
+		t.Errorf("depth(1000) = %d bytes, want 125", d)
 	}
-	if d := l.Depth(3000); d != 0 {
-		t.Errorf("Depth(3000) = %d bytes, want 0 after drain", d)
+	if d := depth(l, 3000); d != 0 {
+		t.Errorf("depth(3000) = %d bytes, want 0 after drain", d)
 	}
 	// A frame that would push the backlog past QueueBytes tail-drops
 	// without consuming bandwidth.
@@ -232,15 +241,15 @@ func TestScheduleLearn(t *testing.T) {
 	b.AttachPort(func(*skb.SKB) {})
 	mac := ContainerMAC(1, 1, true)
 	u.ScheduleLearn(b, mac, 1)
-	if _, ok := b.Lookup(mac); ok {
+	if _, ok := b.LookupAt(mac, 0); ok {
 		t.Fatal("bridge learned before the propagation delay elapsed")
 	}
 	sched.RunUntil(sim.Time(2 * sim.Microsecond))
-	if _, ok := b.Lookup(mac); ok {
+	if _, ok := b.LookupAt(mac, 0); ok {
 		t.Fatal("bridge learned too early")
 	}
 	sched.RunUntil(sim.Time(4 * sim.Microsecond))
-	if p, ok := b.Lookup(mac); !ok || p != 1 {
+	if p, ok := b.LookupAt(mac, 0); !ok || p != 1 {
 		t.Fatalf("bridge did not learn after latency: port=%d ok=%v", p, ok)
 	}
 }
@@ -284,11 +293,7 @@ func TestVxLANWireRoundTrip(t *testing.T) {
 		sent := 0
 		for i := 0; i < 200; i++ {
 			tx := 1 + i%2 // hosts 1 and 2 interleave toward host 0
-			s := &skb.SKB{FlowID: uint64(tx), Seq: uint64(i), Segs: 1, WireLen: inner}
-			vx.Encap(s)
-			if s.WireLen != inner+packet.OverlayOverhead {
-				t.Fatalf("%s: encap length %d", name, s.WireLen)
-			}
+			s := &skb.SKB{FlowID: uint64(tx), Seq: uint64(i), Segs: 1, WireLen: inner + packet.OverlayOverhead, Encap: true}
 			if u.Send(sched.Now(), tx, 0, s) {
 				sent++
 			}
@@ -332,7 +337,7 @@ func BenchmarkFabricOff(b *testing.B) {
 		if _, ok := l.Send(now, 1500); !ok {
 			b.Fatal("uncongested link dropped")
 		}
-		if l.Depth(now) < 0 {
+		if depth(l, now) < 0 {
 			b.Fatal("negative depth")
 		}
 	}

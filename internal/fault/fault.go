@@ -55,19 +55,6 @@ type GilbertElliott struct {
 	LossBad  float64
 }
 
-// MeanLoss returns the model's stationary packet-loss probability.
-func (g *GilbertElliott) MeanLoss() float64 {
-	if g == nil {
-		return 0
-	}
-	den := g.PGoodBad + g.PBadGood
-	if den <= 0 {
-		return g.LossGood
-	}
-	bad := g.PGoodBad / den
-	return (1-bad)*g.LossGood + bad*g.LossBad
-}
-
 // Profile describes the wire-level faults applied to each arriving frame.
 type Profile struct {
 	// Drop is a uniform per-frame drop probability.
@@ -213,9 +200,6 @@ func NewInjector(plan Plan, scenarioSeed uint64) *Injector {
 		rng:  sim.NewRand(scenarioSeed ^ plan.Seed ^ 0xfa017fa017fa017f),
 	}
 }
-
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Total returns the number of faults injected so far across all points.
 func (in *Injector) Total() uint64 {

@@ -46,14 +46,6 @@ func New() *GRO {
 	return &GRO{MaxBytes: DefaultMaxBytes, Enabled: true}
 }
 
-// Factor returns the achieved merge factor so far (1 if nothing processed).
-func (g *GRO) Factor() float64 {
-	if g.SkbsOut == 0 {
-		return 1
-	}
-	return float64(g.SegsIn) / float64(g.SkbsOut)
-}
-
 // Coalesce merges the batch, preserving first-arrival order of the emitted
 // skbs. Only in-order continuations merge (skb.CanMerge): same flow, TCP,
 // same encapsulation state, no message boundary in between, and within the

@@ -27,8 +27,8 @@ func TestCoalesceMergesConsecutiveTCP(t *testing.T) {
 	if out[0].Segs != 4 || out[0].PayloadLen != 4*1448 {
 		t.Errorf("merged skb wrong: %+v", out[0])
 	}
-	if g.Factor() != 4 {
-		t.Errorf("factor %.1f, want 4", g.Factor())
+	if g.SkbsOut == 0 || g.SegsIn != 4*g.SkbsOut {
+		t.Errorf("factor %d/%d, want 4", g.SegsIn, g.SkbsOut)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestDisabledGROIsIdentity(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatal("disabled GRO must not merge")
 	}
-	if g.Factor() != 1 {
-		t.Errorf("factor %.2f, want 1", g.Factor())
+	if g.SkbsOut != 0 && g.SegsIn != g.SkbsOut {
+		t.Errorf("factor %d/%d, want 1", g.SegsIn, g.SkbsOut)
 	}
 }
 

@@ -64,12 +64,6 @@ func (b *Bridge) LearnAt(src packet.MAC, port int, now sim.Time) {
 	b.fdb[k] = fdbEntry{port: port, seen: now}
 }
 
-// Lookup returns the port a MAC was learned on, ignoring ageing.
-func (b *Bridge) Lookup(mac packet.MAC) (int, bool) {
-	e, ok := b.fdb[macKey(mac)]
-	return e.port, ok
-}
-
 // LookupAt returns the port a MAC was learned on, expiring the entry first
 // if it aged out before now.
 func (b *Bridge) LookupAt(mac packet.MAC, now sim.Time) (int, bool) {
@@ -86,15 +80,10 @@ func (b *Bridge) LookupAt(mac packet.MAC, now sim.Time) (int, bool) {
 	return e.port, true
 }
 
-// Forward switches a frame arriving on inPort with the given addresses:
-// learns src→inPort, then delivers to dst's learned port or floods.
-// Ageing-oblivious (time zero); fabric paths use ForwardAt.
-func (b *Bridge) Forward(inPort int, src, dst packet.MAC, s *skb.SKB) {
-	b.ForwardAt(inPort, src, dst, s, 0)
-}
-
-// ForwardAt is Forward with an explicit clock so MaxAge can expire stale
-// entries: an aged-out destination floods exactly like a never-learned one.
+// ForwardAt switches a frame arriving on inPort at now: it learns
+// src→inPort, then delivers to dst's learned port or floods. MaxAge expires
+// stale entries, so an aged-out destination floods exactly like a
+// never-learned one.
 func (b *Bridge) ForwardAt(inPort int, src, dst packet.MAC, s *skb.SKB, now sim.Time) {
 	b.LearnAt(src, inPort, now)
 	if p, ok := b.LookupAt(dst, now); ok && p != inPort {

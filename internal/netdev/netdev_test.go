@@ -7,6 +7,29 @@ import (
 	"mflow/internal/skb"
 )
 
+// udpFrame builds a complete inner Ethernet/IPv4/UDP frame carrying payload.
+func udpFrame(src, dst packet.FlowAddr, ipID uint16, payload []byte) []byte {
+	buf := make([]byte, packet.InnerUDPHeaderLen+len(payload))
+	copy(buf[packet.InnerUDPHeaderLen:], payload)
+	packet.BuildUDPFrameInPlace(buf[:packet.InnerUDPHeaderLen], src, dst, ipID, len(payload))
+	return buf
+}
+
+// vxlanFrame wraps inner in outer headers for vni between two fixed hosts.
+func vxlanFrame(vni uint32, inner []byte) []byte {
+	buf := make([]byte, packet.OverlayOverhead+len(inner))
+	copy(buf[packet.OverlayOverhead:], inner)
+	packet.EncapVXLANInPlace(buf[:packet.OverlayOverhead], packet.MAC{}, packet.MAC{},
+		packet.Addr4(10, 0, 0, 1), packet.Addr4(10, 0, 0, 2), vni, 0, buf[packet.OverlayOverhead:])
+	return buf
+}
+
+// lookup returns the port mac was learned on, ignoring ageing.
+func lookup(b *Bridge, mac packet.MAC) (int, bool) {
+	e, ok := b.fdb[macKey(mac)]
+	return e.port, ok
+}
+
 func TestCostOf(t *testing.T) {
 	c := Cost{PerSKB: 100, PerSeg: 10, PerByte: 0.1}
 	s := &skb.SKB{Segs: 4, WireLen: 6000}
@@ -56,21 +79,11 @@ func TestVXLANDecapSynthetic(t *testing.T) {
 func TestVXLANEncapDecapWire(t *testing.T) {
 	src := packet.FlowAddr{MAC: packet.MAC{2, 0, 0, 0, 0, 1}, IP: packet.Addr4(172, 17, 0, 2), Port: 1000}
 	dst := packet.FlowAddr{MAC: packet.MAC{2, 0, 0, 0, 0, 2}, IP: packet.Addr4(172, 17, 0, 3), Port: 2000}
-	inner := packet.BuildUDPFrame(src, dst, 1, []byte("payload"))
+	inner := udpFrame(src, dst, 1, []byte("payload"))
 
-	v := &VXLAN{
-		VNI:   42,
-		Local: packet.Addr4(10, 0, 0, 1), Remote: packet.Addr4(10, 0, 0, 2),
-		LocalMAC: packet.MAC{2, 0, 0, 0, 1, 1}, RemoteMAC: packet.MAC{2, 0, 0, 0, 1, 2},
-	}
-	s := &skb.SKB{Segs: 1, WireLen: len(inner), Data: append([]byte(nil), inner...)}
-	v.Encap(s)
-	if !s.Encap || s.WireLen != len(inner)+packet.OverlayOverhead {
-		t.Fatalf("encap accounting wrong: %+v", s)
-	}
-	if len(s.Data) != len(inner)+packet.OverlayOverhead {
-		t.Fatalf("encap bytes wrong: %d", len(s.Data))
-	}
+	frame := vxlanFrame(42, inner)
+	v := &VXLAN{VNI: 42}
+	s := &skb.SKB{Segs: 1, WireLen: len(frame), Encap: true, Data: frame}
 	if err := v.Decap(s); err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +96,10 @@ func TestVXLANEncapDecapWire(t *testing.T) {
 }
 
 func TestVXLANDecapWrongVNI(t *testing.T) {
-	inner := packet.BuildUDPFrame(
+	inner := udpFrame(
 		packet.FlowAddr{IP: packet.Addr4(1, 1, 1, 1), Port: 1},
 		packet.FlowAddr{IP: packet.Addr4(2, 2, 2, 2), Port: 2}, 0, []byte("x"))
-	frame := packet.EncapVXLAN(packet.MAC{}, packet.MAC{}, packet.Addr4(10, 0, 0, 1), packet.Addr4(10, 0, 0, 2), 99, 0, inner)
+	frame := vxlanFrame(99, inner)
 	v := &VXLAN{VNI: 7}
 	s := &skb.SKB{Segs: 1, WireLen: len(frame), Encap: true, Data: frame}
 	if err := v.Decap(s); err == nil {
@@ -128,21 +141,21 @@ func TestBridgeLearnsAndForwards(t *testing.T) {
 
 	// Unknown destination floods to all other ports.
 	s1 := &skb.SKB{Seq: 1}
-	b.Forward(p0, macA, macB, s1)
+	b.ForwardAt(p0, macA, macB, s1, 0)
 	if b.Flooded != 1 || len(got1) != 1 || len(got2) != 1 || len(got0) != 0 {
 		t.Fatalf("flood wrong: flooded=%d ports=%d/%d/%d", b.Flooded, len(got0), len(got1), len(got2))
 	}
 	// macA is now learned on p0: replies unicast back.
 	s2 := &skb.SKB{Seq: 2}
-	b.Forward(p1, macB, macA, s2)
+	b.ForwardAt(p1, macB, macA, s2, 0)
 	if b.Forwarded != 1 || len(got0) != 1 {
 		t.Fatalf("unicast wrong: forwarded=%d got0=%d", b.Forwarded, len(got0))
 	}
-	if p, ok := b.Lookup(macB); !ok || p != p1 {
+	if p, ok := lookup(b, macB); !ok || p != p1 {
 		t.Error("macB not learned on p1")
 	}
 	// Destination learned on the ingress port: flood (split horizon).
-	b.Forward(p0, macA, macA, &skb.SKB{})
+	b.ForwardAt(p0, macA, macA, &skb.SKB{}, 0)
 	if b.Flooded != 2 {
 		t.Error("same-port destination should flood, not loop back")
 	}
@@ -182,7 +195,7 @@ func TestBridgeFDBAging(t *testing.T) {
 		t.Fatalf("aged entry should flood: aged=%d flooded=%d got1=%d got2=%d",
 			b.Aged, b.Flooded, got1, got2)
 	}
-	if _, ok := b.Lookup(macB); ok {
+	if _, ok := lookup(b, macB); ok {
 		t.Error("aged entry still present ageing-obliviously")
 	}
 	// Relearning after ageing counts as a fresh insertion.
@@ -234,8 +247,8 @@ func TestBridgeFDBKeysAreDistinct(t *testing.T) {
 		t.Fatalf("Learned = %d, want %d", b.Learned, len(macs))
 	}
 	for i, m := range macs {
-		if p, ok := b.Lookup(m); !ok || p != i%3 {
-			t.Fatalf("%v: Lookup = %d, %v, want port %d", m, p, ok, i%3)
+		if p, ok := lookup(b, m); !ok || p != i%3 {
+			t.Fatalf("%v: lookup = %d, %v, want port %d", m, p, ok, i%3)
 		}
 	}
 	// Refresh every even entry at t=600; nothing is newly learned.
@@ -262,7 +275,7 @@ func TestBridgeFDBKeysAreDistinct(t *testing.T) {
 			t.Fatalf("%v: aged/flooded/forwarded = %d/%d/%d, want %d/%d/%d",
 				m, b.Aged, b.Flooded, b.Forwarded, aged, flooded, forwarded)
 		}
-		if _, ok := b.Lookup(m); ok != (i%2 == 0) {
+		if _, ok := lookup(b, m); ok != (i%2 == 0) {
 			t.Fatalf("%v: present after forwarding = %v, want %v", m, ok, i%2 == 0)
 		}
 	}

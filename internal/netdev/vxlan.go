@@ -7,25 +7,18 @@ import (
 	"mflow/internal/skb"
 )
 
-// VXLAN is the overlay tunnel device. On the receive path it terminates the
+// VXLAN is the overlay tunnel device's receive side: it terminates the
 // outer UDP tunnel and recovers the inner Ethernet frame addressed to a
-// container; on the transmit path it wraps inner frames in outer headers.
-// In synthetic runs the transformation adjusts the skb's byte accounting; in
-// wire mode it operates on the real RFC 7348 layout.
+// container. In synthetic runs the transformation adjusts the skb's byte
+// accounting; in wire mode it operates on the real RFC 7348 layout.
 type VXLAN struct {
 	// VNI is the VxLAN network identifier this device terminates.
 	VNI uint32
-	// Local/Remote are the outer (host) addresses of the tunnel.
-	Local, Remote       packet.IPv4Addr
-	LocalMAC, RemoteMAC packet.MAC
 
-	// Decapped / Encapped count processed frames; Errors counts frames
-	// whose wire bytes failed to parse or carried the wrong VNI.
+	// Decapped counts processed frames; Errors counts frames whose wire
+	// bytes failed to parse or carried the wrong VNI.
 	Decapped uint64
-	Encapped uint64
 	Errors   uint64
-
-	ipID uint16
 }
 
 // Decap strips the outer encapsulation from s in place. It returns an error
@@ -98,26 +91,6 @@ func (v *VXLAN) decapLinearized(s *skb.SKB) error {
 	}
 	v.Decapped++
 	return nil
-}
-
-// Encap wraps s in outer headers in place (transmit path): the outer
-// Ethernet/IPv4/UDP/VxLAN headers are written into the skb's reserved
-// headroom by an skb_push-shaped Push — no allocation, no payload copy
-// when the headroom was reserved up front. Only the head window is
-// encapsulated; transmit-side skbs carry no frag chain.
-func (v *VXLAN) Encap(s *skb.SKB) {
-	if s.Encap {
-		return
-	}
-	if s.Data != nil {
-		v.ipID++
-		hdr := s.Push(packet.OverlayOverhead)
-		packet.EncapVXLANInPlace(hdr, v.LocalMAC, v.RemoteMAC, v.Local, v.Remote, v.VNI, v.ipID,
-			s.Data[packet.OverlayOverhead:])
-	}
-	s.Encap = true
-	s.WireLen += packet.OverlayOverhead * s.Segs
-	v.Encapped++
 }
 
 // RxDevice packages the decap action with its cost model as a Device.

@@ -1,5 +1,5 @@
 // Package obs is the unified observability layer for the simulated receive
-// path: a hierarchically named metric registry (counters, gauges and the
+// path: a hierarchically named metric registry (counters and the
 // log-bucketed metrics.Histogram behind one interface) and a Perfetto/Chrome
 // trace-event exporter. The paper argues entirely through measurements of
 // this path — per-core softirq utilization, backlog/ring occupancy,
@@ -23,22 +23,13 @@ import (
 	"mflow/internal/metrics"
 )
 
-// Counter is a monotonically increasing metric (packets seen, drops, IRQs).
+// Counter is a monotonic total (packets seen, drops, IRQs) mirrored into
+// the registry.
 type Counter struct{ n uint64 }
 
-// Add increments the counter by n. Safe on a nil counter.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.n += n
-	}
-}
-
-// Inc increments the counter by one. Safe on a nil counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Set overwrites the counter's value — used to mirror an externally
-// accumulated monotonic total (e.g. a NIC's Received field) into the
-// registry at snapshot points. Safe on a nil counter.
+// Set overwrites the counter's value with an externally accumulated
+// monotonic total (e.g. a NIC's Received field) at a snapshot point. Safe
+// on a nil counter.
 func (c *Counter) Set(v uint64) {
 	if c != nil {
 		c.n = v
@@ -53,31 +44,12 @@ func (c *Counter) Value() uint64 {
 	return c.n
 }
 
-// Gauge is a point-in-time value (current depth, a configuration constant).
-type Gauge struct{ v float64 }
-
-// Set stores v. Safe on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the last stored value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Registry holds one simulation run's metrics under canonical names. Names
 // are hierarchical ("nic/ring" style is fine) and may carry labels, rendered
 // canonically as name{k=v,k2=v2} with keys sorted — the same name+labels
 // always resolves to the same metric instance.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*metrics.Histogram
 }
 
@@ -85,7 +57,6 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*metrics.Histogram),
 	}
 }
@@ -132,21 +103,6 @@ func (r *Registry) Counter(name string, kv ...string) *Counter {
 	return c
 }
 
-// Gauge returns (creating if needed) the gauge for name+labels.
-// Returns nil on a nil registry.
-func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	full := Name(name, kv...)
-	g := r.gauges[full]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[full] = g
-	}
-	return g
-}
-
 // Histogram returns (creating if needed) the histogram for name+labels.
 // Returns nil on a nil registry (metrics.Histogram recording is nil-safe).
 func (r *Registry) Histogram(name string, kv ...string) *metrics.Histogram {
@@ -181,7 +137,7 @@ func (r *Registry) GapTo(to string) func(from string, v int64) {
 	}
 }
 
-// Metric is one metric's snapshotted state. Counters and gauges carry Value;
+// Metric is one metric's snapshotted state. Counters carry Value;
 // histograms carry Count/Sum/Mean and the distribution summary.
 type Metric struct {
 	Kind  string  `json:"kind"`
@@ -205,12 +161,9 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return nil
 	}
-	s := make(Snapshot, len(r.counters)+len(r.gauges)+len(r.hists))
+	s := make(Snapshot, len(r.counters)+len(r.hists))
 	for name, c := range r.counters {
 		s[name] = Metric{Kind: "counter", Value: float64(c.Value())}
-	}
-	for name, g := range r.gauges {
-		s[name] = Metric{Kind: "gauge", Value: g.Value()}
 	}
 	for name, h := range r.hists {
 		s[name] = Metric{
@@ -229,7 +182,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Diff returns the change from prev to s: counter values and histogram
 // counts/sums subtract (histogram means are recomputed over the window);
-// gauges and histogram quantiles keep s's (cumulative) values, since the
+// histogram quantiles keep s's (cumulative) values, since the
 // log-bucketed histogram cannot reconstruct window-local percentiles.
 // Metrics absent from prev are taken whole; metrics absent from s are
 // dropped.
@@ -254,12 +207,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 		out[name] = m
 	}
 	return out
-}
-
-// Get looks up a metric by name+labels.
-func (s Snapshot) Get(name string, kv ...string) (Metric, bool) {
-	m, ok := s[Name(name, kv...)]
-	return m, ok
 }
 
 // Names returns the snapshot's metric names, sorted.

@@ -22,7 +22,7 @@ func TestNameCanonical(t *testing.T) {
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := New()
 	c1 := r.Counter("drops", "queue", "ring")
-	c1.Add(3)
+	c1.Set(3)
 	c2 := r.Counter("drops", "queue", "ring")
 	if c1 != c2 || c2.Value() != 3 {
 		t.Error("same name+labels must resolve to the same counter")
@@ -35,17 +35,11 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Histogram("lat", "stage", "gro").Count() != 1 {
 		t.Error("same histogram expected")
 	}
-	g := r.Gauge("speed")
-	g.Set(2.5)
-	if r.Gauge("speed").Value() != 2.5 {
-		t.Error("same gauge expected")
-	}
 }
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
+	r.Counter("x").Set(1)
 	r.Histogram("z").Record(1)
 	r.GapTo("a")("b", 1)
 	if r.Snapshot() != nil {
@@ -57,40 +51,34 @@ func TestSnapshotAndDiff(t *testing.T) {
 	r := New()
 	c := r.Counter("pkts")
 	h := r.Histogram("lat")
-	g := r.Gauge("util")
-	c.Add(10)
+	c.Set(10)
 	h.Record(100)
 	h.Record(200)
-	g.Set(0.5)
 
 	s0 := r.Snapshot()
-	c.Add(5)
+	c.Set(15)
 	h.RecordN(300, 3)
-	g.Set(0.9)
 	s1 := r.Snapshot()
 
 	d := s1.Diff(s0)
-	if m, _ := d.Get("pkts"); m.Value != 5 {
+	if m := d["pkts"]; m.Value != 5 {
 		t.Errorf("counter diff: %+v", m)
 	}
-	if m, _ := d.Get("lat"); m.Count != 3 || m.Sum != 900 || m.Mean != 300 {
+	if m := d["lat"]; m.Count != 3 || m.Sum != 900 || m.Mean != 300 {
 		t.Errorf("histogram diff: %+v", m)
 	}
-	if m, _ := d.Get("util"); m.Value != 0.9 {
-		t.Errorf("gauge diff keeps latest: %+v", m)
-	}
 	// A metric born after the baseline snapshot is taken whole.
-	r.Counter("late").Add(7)
+	r.Counter("late").Set(7)
 	d2 := r.Snapshot().Diff(s0)
-	if m, _ := d2.Get("late"); m.Value != 7 {
+	if m := d2["late"]; m.Value != 7 {
 		t.Errorf("new metric diff: %+v", m)
 	}
 }
 
 func TestWriteJSONDeterministic(t *testing.T) {
 	r := New()
-	r.Counter("b").Add(2)
-	r.Counter("a").Add(1)
+	r.Counter("b").Set(2)
+	r.Counter("a").Set(1)
 	r.Histogram("h").Record(50)
 	var w1, w2 strings.Builder
 	if err := r.Snapshot().WriteJSON(&w1); err != nil {

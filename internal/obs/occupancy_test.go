@@ -58,7 +58,7 @@ func TestQueueDepthExactTimeWeighted(t *testing.T) {
 	sched.RunUntil(end)
 	occ.Flush(end)
 
-	m, ok := r.Snapshot().Get("queue_depth", "queue", "q")
+	m, ok := r.Snapshot()[Name("queue_depth", "queue", "q")]
 	if !ok {
 		t.Fatal("no queue_depth series")
 	}
@@ -78,7 +78,7 @@ func TestQueueDepthExactTimeWeighted(t *testing.T) {
 	// the standing depth.
 	occ.Flush(end)
 	occ.Flush(end + 100)
-	if m, _ := r.Snapshot().Get("queue_depth", "queue", "q"); m.Count != end+100 || m.Sum != sum+2*100 {
+	if m := r.Snapshot()[Name("queue_depth", "queue", "q")]; m.Count != end+100 || m.Sum != sum+2*100 {
 		t.Errorf("after re-flush count/sum = %d/%g, want %d/%d", m.Count, m.Sum, end+100, sum+200)
 	}
 }
@@ -96,8 +96,8 @@ func TestQueueDepthSinksAgree(t *testing.T) {
 	}
 	occ.Flush(2000)
 	s := r.Snapshot()
-	a, _ := s.Get("queue_depth", "queue", "ring")
-	b, _ := s.Get("queue_depth", "queue", "backlog")
+	a := s[Name("queue_depth", "queue", "ring")]
+	b := s[Name("queue_depth", "queue", "backlog")]
 	if a != b || a.Count != 2000 {
 		t.Errorf("shared queue series differ: %+v vs %+v", a, b)
 	}
@@ -134,7 +134,7 @@ func TestSampledMeanConvergesToExact(t *testing.T) {
 		hist := startSampler(sched, every, w.Len)
 		sched.RunUntil(sim.Time(horizon))
 		w.Occupancy.Flush(sim.Time(horizon))
-		m, _ := r.Snapshot().Get("queue_depth", "queue", "q")
+		m := r.Snapshot()[Name("queue_depth", "queue", "q")]
 		return m.Mean, hist.Mean()
 	}
 

@@ -200,6 +200,20 @@ func TestKeyCanonical(t *testing.T) {
 			}
 		}
 	}
+	// Inert settings key as their defaults: an unset elephant threshold is
+	// the detector's own, and a fabric of fewer than two hosts is the
+	// single host.
+	auto := Scenario{System: steering.MFlow, Proto: skb.TCP, MFlow: MFlowConfig{AutoDetect: true}}
+	autoGbps := auto
+	autoGbps.MFlow.ElephantBps = 1e9
+	single := Scenario{System: steering.MFlow, Proto: skb.TCP}
+	oneHost := single
+	oneHost.Fabric = &fabric.Config{Hosts: 1, Placement: fabric.PlaceIncast, LinkGbps: 10}
+	for _, pair := range [][2]Scenario{{auto, autoGbps}, {single, oneHost}} {
+		if a, b := pair[0].Key(), pair[1].Key(); a != b {
+			t.Errorf("inert setting keys apart:\n  %s\n  %s", a, b)
+		}
+	}
 }
 
 // TestKeyExactDurations pins the case a rounded duration rendering

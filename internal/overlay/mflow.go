@@ -28,9 +28,7 @@ import (
 func (h *host) buildMFlowFlow(f int, fp *flowPath) *stage {
 	if h.sc.MFlow.AutoDetect {
 		fp.detect = mflow.NewDetector()
-		if h.sc.MFlow.ElephantBps > 0 {
-			fp.detect.ThresholdBps = h.sc.MFlow.ElephantBps
-		}
+		fp.detect.ThresholdBps = h.sc.MFlow.ElephantBps
 	}
 	if h.sc.Proto == skb.TCP {
 		return h.buildMFlowTCP(f, fp)
@@ -74,16 +72,7 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 	if m.PerPacketReorder || m.NoReassembly {
 		arrive = tcpTail
 	} else {
-		fp.reasm = mflow.NewReassembler(m.SplitCores, m.BatchSize, func(s *skb.SKB) { tcpTail(s, 0) })
-		fp.reasm.Core = app
-		fp.reasm.SwitchCost = cfg.MergeSwitch
-		fp.reasm.PerSKB = cfg.MergePerSKB
-		h.armFaultRecovery(fp)
-		arrive = func(s *skb.SKB, _ sim.Time) {
-			if err := fp.reasm.Arrive(s); err != nil {
-				fp.recordArriveErr(err)
-			}
-		}
+		arrive = h.reassembler(fp, app, false, func(s *skb.SKB) { tcpTail(s, 0) })
 	}
 
 	fp.split = &mflow.Splitter{BatchSize: m.BatchSize, IPICost: cfg.IPI}
@@ -103,7 +92,7 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 				rest.pre = append(rest.pre, dev("gro", cfg.GROOverlay))
 				rest.gro = gro.New()
 				h.gros = append(h.gros, rest.gro)
-				rest.post = h.overlayChainDevices(fp, true, false)
+				rest.post = h.overlayChainDevices(fp, true)
 				rest.out = arrive
 				h.stages = append(h.stages, rest)
 
@@ -118,7 +107,7 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 				br.pre = append(br.pre, dev("alloc", cfg.Alloc), dev("gro", cfg.GROOverlay))
 				br.gro = gro.New()
 				h.gros = append(h.gros, br.gro)
-				br.post = h.overlayChainDevices(fp, true, false)
+				br.post = h.overlayChainDevices(fp, true)
 				br.each = func(s *skb.SKB, c *sim.Core) { comp.Completed(c) }
 				br.out = arrive
 				h.stages = append(h.stages, br)
@@ -140,7 +129,7 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 	// core(base); branches run the post-skb chain.
 	for i := 0; i < m.SplitCores; i++ {
 		br := h.newStage("mflow-branch", h.kcore(base+1+rot(i)), 0, cfg.BacklogWake)
-		br.post = h.overlayChainDevices(fp, false, false)
+		br.post = h.overlayChainDevices(fp, false)
 		br.out = arrive
 		h.stages = append(h.stages, br)
 		fp.split.Targets = append(fp.split.Targets, br.worker)
@@ -161,9 +150,8 @@ func (h *host) buildMFlowTCP(f int, fp *flowPath) *stage {
 // overlayChainDevices returns the overlay device chain down to the
 // socket-queue insert, excluding transport processing (MFLOW TCP runs TCP
 // in the delivery thread). withOuter includes the outer IP/UDP receive
-// (false when a previous stage already parsed it); withL4 adds UDP
-// transport processing for UDP paths.
-func (h *host) overlayChainDevices(fp *flowPath, withOuter, withL4 bool) []*netdev.Device {
+// (false when a previous stage already parsed it).
+func (h *host) overlayChainDevices(fp *flowPath, withOuter bool) []*netdev.Device {
 	cfg := h.sc.Costs
 	var devs []*netdev.Device
 	if withOuter {
@@ -173,11 +161,8 @@ func (h *host) overlayChainDevices(fp *flowPath, withOuter, withL4 bool) []*netd
 		fp.vxDevice(cfg),
 		dev("bridge", cfg.Bridge),
 		dev("veth", cfg.Veth),
-		dev("ip", cfg.InnerIP))
-	if withL4 {
-		devs = append(devs, dev("udp", cfg.UDPRx))
-	}
-	devs = append(devs, dev("sock", cfg.SockEnq))
+		dev("ip", cfg.InnerIP),
+		dev("sock", cfg.SockEnq))
 	return devs
 }
 
@@ -194,23 +179,13 @@ func (h *host) buildMFlowUDP(f int, fp *flowPath) *stage {
 	if m.NoReassembly || m.PerPacketReorder {
 		// No order restoration: datagrams reach the app as they finish.
 		arrive = udpTail
-		splitDevs = h.udpSplitChain(fp, true)
+		splitDevs = h.udpSplitChain(fp)
 	} else if m.LateMerge {
 		// The paper's UDP configuration: branches run the whole
 		// remaining path; micro-flows merge right before user-space
 		// delivery, reusing the backlog queues.
-		fp.reasm = mflow.NewReassembler(m.SplitCores, m.BatchSize, func(s *skb.SKB) { udpTail(s, 0) })
-		fp.reasm.AllowGaps = true
-		fp.reasm.Core = app
-		fp.reasm.SwitchCost = cfg.MergeSwitch
-		fp.reasm.PerSKB = cfg.MergePerSKB
-		h.armFaultRecovery(fp)
-		arrive = func(s *skb.SKB, _ sim.Time) {
-			if err := fp.reasm.Arrive(s); err != nil {
-				fp.recordArriveErr(err)
-			}
-		}
-		splitDevs = h.udpSplitChain(fp, true)
+		arrive = h.reassembler(fp, app, true, func(s *skb.SKB) { udpTail(s, 0) })
+		splitDevs = h.udpSplitChain(fp)
 	} else {
 		// Early merge (ablation): branches run only VxLAN; merge right
 		// after it, then the rest of the path on one further core.
@@ -224,17 +199,7 @@ func (h *host) buildMFlowUDP(f int, fp *flowPath) *stage {
 		}
 		rest.out = udpTail
 		h.stages = append(h.stages, rest)
-		fp.reasm = mflow.NewReassembler(m.SplitCores, m.BatchSize, func(s *skb.SKB) { rest.worker.Enqueue(s) })
-		fp.reasm.AllowGaps = true
-		fp.reasm.Core = rest.core()
-		fp.reasm.SwitchCost = cfg.MergeSwitch
-		fp.reasm.PerSKB = cfg.MergePerSKB
-		h.armFaultRecovery(fp)
-		arrive = func(s *skb.SKB, _ sim.Time) {
-			if err := fp.reasm.Arrive(s); err != nil {
-				fp.recordArriveErr(err)
-			}
-		}
+		arrive = h.reassembler(fp, rest.core(), true, func(s *skb.SKB) { rest.worker.Enqueue(s) })
 		splitDevs = []*netdev.Device{fp.vxDevice(cfg)}
 	}
 
@@ -270,16 +235,32 @@ func (h *host) buildMFlowUDP(f int, fp *flowPath) *stage {
 
 // udpSplitChain is the branch device list when branches run the whole
 // remaining UDP path.
-func (h *host) udpSplitChain(fp *flowPath, withL4 bool) []*netdev.Device {
+func (h *host) udpSplitChain(fp *flowPath) []*netdev.Device {
 	cfg := h.sc.Costs
-	devs := []*netdev.Device{
+	return []*netdev.Device{
 		fp.vxDevice(cfg),
 		dev("bridge", cfg.Bridge),
 		dev("veth", cfg.Veth),
 		dev("ip", cfg.InnerIP),
+		dev("udp", cfg.UDPRx),
+		dev("sock", cfg.SockEnq),
 	}
-	if withL4 {
-		devs = append(devs, dev("udp", cfg.UDPRx), dev("sock", cfg.SockEnq))
+}
+
+// reassembler builds flow fp's micro-flow reassembler, merging on core and
+// delivering in sequence order to deliver, and returns the arrival hook the
+// splitting branches feed. allowGaps lets UDP merges skip holes.
+func (h *host) reassembler(fp *flowPath, core *sim.Core, allowGaps bool, deliver func(*skb.SKB)) func(*skb.SKB, sim.Time) {
+	m, cfg := h.sc.MFlow, h.sc.Costs
+	fp.reasm = mflow.NewReassembler(m.SplitCores, m.BatchSize, deliver)
+	fp.reasm.AllowGaps = allowGaps
+	fp.reasm.Core = core
+	fp.reasm.SwitchCost = cfg.MergeSwitch
+	fp.reasm.PerSKB = cfg.MergePerSKB
+	h.armFaultRecovery(fp)
+	return func(s *skb.SKB, _ sim.Time) {
+		if err := fp.reasm.Arrive(s); err != nil {
+			fp.recordArriveErr(err)
+		}
 	}
-	return devs
 }

@@ -34,7 +34,7 @@ func TestObsStageLatencyCountsMatchDeliveries(t *testing.T) {
 	if res.DeliveredSegments == 0 {
 		t.Fatal("scenario delivered nothing")
 	}
-	m, ok := res.Obs.Get("stage_latency", "stage", "socket")
+	m, ok := res.Obs[obs.Name("stage_latency", "stage", "socket")]
 	if !ok {
 		t.Fatalf("no socket stage_latency series; have %v", res.Obs.Names())
 	}
@@ -66,7 +66,7 @@ func TestObsStageLatencyCountsMatchDeliveries(t *testing.T) {
 func TestObsQueueDepthsNonZero(t *testing.T) {
 	sc, _ := obsScenario()
 	res := Run(sc)
-	ring, ok := res.Obs.Get("queue_depth", "queue", "nic_ring0")
+	ring, ok := res.Obs[obs.Name("queue_depth", "queue", "nic_ring0")]
 	if !ok {
 		t.Fatalf("no NIC ring depth series; have %v", res.Obs.Names())
 	}
@@ -104,8 +104,8 @@ func TestObsRingIsFirstBacklog(t *testing.T) {
 			t.Fatalf("%s: no stage drives ring 0", sys)
 		}
 		res := h.run()
-		ring, _ := res.Obs.Get("queue_depth", "queue", "nic_ring0")
-		first, ok := res.Obs.Get("queue_depth", "queue", backlog)
+		ring := res.Obs[obs.Name("queue_depth", "queue", "nic_ring0")]
+		first, ok := res.Obs[obs.Name("queue_depth", "queue", backlog)]
 		if !ok || ring != first || ring.Max == 0 {
 			t.Errorf("%s: nic_ring0 %+v, %s %+v", sys, ring, backlog, first)
 		}
@@ -119,11 +119,11 @@ func TestObsIdleRingAccounted(t *testing.T) {
 	sc := fabricScenario(steering.MFlow, skb.TCP, 3)
 	sc.Fabric.Placement = fabric.PlaceIncast
 	res := Run(sc)
-	idle, ok := res.Obs.Get("queue_depth", "queue", "h1:nic_ring0")
+	idle, ok := res.Obs[obs.Name("queue_depth", "queue", "h1:nic_ring0")]
 	if !ok || idle.Count != uint64(sc.Measure) || idle.Max != 0 {
 		t.Errorf("TX-only host ring: ok=%v %+v", ok, idle)
 	}
-	if busy, _ := res.Obs.Get("queue_depth", "queue", "h0:nic_ring0"); busy.Max == 0 {
+	if busy := res.Obs[obs.Name("queue_depth", "queue", "h0:nic_ring0")]; busy.Max == 0 {
 		t.Errorf("receiving host ring never occupied: %+v", busy)
 	}
 }
@@ -193,13 +193,13 @@ func TestObsStageGapsRecorded(t *testing.T) {
 func TestObsCountersAndDevices(t *testing.T) {
 	sc, _ := obsScenario()
 	res := Run(sc)
-	if m, _ := res.Obs.Get("nic_received"); m.Value <= 0 {
+	if m := res.Obs["nic_received"]; m.Value <= 0 {
 		t.Errorf("nic_received not positive: %+v", m)
 	}
-	if m, ok := res.Obs.Get("device_segs", "device", "vxlan"); !ok || m.Value <= 0 {
+	if m, ok := res.Obs[obs.Name("device_segs", "device", "vxlan")]; !ok || m.Value <= 0 {
 		t.Errorf("vxlan device_segs missing or zero: %+v ok=%v", m, ok)
 	}
-	if m, _ := res.Obs.Get("socket_delivered_segs"); uint64(m.Value) != res.DeliveredSegments {
+	if m := res.Obs["socket_delivered_segs"]; uint64(m.Value) != res.DeliveredSegments {
 		t.Errorf("socket_delivered_segs %v != DeliveredSegments %d", m.Value, res.DeliveredSegments)
 	}
 }

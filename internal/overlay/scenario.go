@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"mflow/internal/causal"
+	mflow "mflow/internal/core"
 	"mflow/internal/fabric"
 	"mflow/internal/fault"
 	"mflow/internal/metrics"
@@ -68,6 +69,9 @@ func (m MFlowConfig) withDefaults(proto skb.Proto) MFlowConfig {
 	}
 	if m.SplitCores <= 0 {
 		m.SplitCores = 2
+	}
+	if m.ElephantBps <= 0 {
+		m.ElephantBps = mflow.DefaultThresholdBps
 	}
 	if proto == skb.TCP {
 		if m.FlowSplitOnly {
@@ -228,6 +232,9 @@ func (sc Scenario) withDefaults() Scenario {
 		sc.Measure = 24 * sim.Millisecond
 	}
 	sc.MFlow = sc.MFlow.withDefaults(sc.Proto)
+	if !sc.Fabric.Enabled() {
+		sc.Fabric = nil
+	}
 	return sc
 }
 

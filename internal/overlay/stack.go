@@ -109,6 +109,3 @@ func (st *Stack) Send(f, size int) uint64 {
 	}
 	return msgID
 }
-
-// DeliveredBytes reports flow f's cumulative bytes delivered to user space.
-func (st *Stack) DeliveredBytes(f int) uint64 { return st.h.flows[f].sock.Bytes }

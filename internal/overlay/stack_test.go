@@ -11,7 +11,8 @@ import (
 // TestStackSendEncapsulatesOnlyOverlayPaths pins Stack.Send to the flow's
 // own sending chain: only overlay paths wrap the frame in VxLAN (and their
 // vxlan device removes it again), so every system's single-segment message
-// reaches the socket decapsulated at payload + 52 header bytes. Slim's TCP
+// reaches the socket decapsulated at payload + 52 header bytes, with exactly
+// the payload counted as delivered to user space. Slim's TCP
 // path has no VxLAN device, so a frame encapsulated there would reach the
 // socket still wrapped.
 func TestStackSendEncapsulatesOnlyOverlayPaths(t *testing.T) {
@@ -29,6 +30,9 @@ func TestStackSendEncapsulatesOnlyOverlayPaths(t *testing.T) {
 		if got[0].Encap || got[0].WireLen != 1000+52 {
 			t.Errorf("%s: socket got encap=%v wire=%d B, want a plain %d B frame",
 				sys, got[0].Encap, got[0].WireLen, 1000+52)
+		}
+		if b := st.h.flows[0].sock.Bytes; b != 1000 {
+			t.Errorf("%s: delivered %d bytes, want 1000", sys, b)
 		}
 	}
 }

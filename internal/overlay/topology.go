@@ -876,17 +876,15 @@ func (h *host) buildPlannedFlow(f int, fp *flowPath) *stage {
 		cap = udpBacklogCap
 	}
 
-	// FALCON pins device classes to cores: the kernel-core pool is
-	// partitioned per stage group and flow f's group-i softirq runs on a
-	// core of class i. Device classes have unequal weights, which is the
-	// source of FALCON's uneven per-core load (paper Fig. 12). The other
-	// plans place groups at flow-relative offsets.
-	// FALCON pins device classes to cores. The VxLAN device is one
-	// host-wide device whose softirq lands on a single core for every
-	// flow — precisely the paper's critique: a heavy device still
-	// saturates one core. The remaining classes partition the rest of
-	// the kernel pool, weighted by their rough stage cost so the heavy
-	// first softirq gets more cores.
+	// FALCON pins device classes to cores: flow f's group-i softirq runs
+	// on a core of class i. The VxLAN device is one host-wide device whose
+	// softirq lands on a single core for every flow — precisely the
+	// paper's critique: a heavy device still saturates one core. The
+	// remaining classes partition the rest of the kernel pool, weighted by
+	// their rough stage cost so the heavy first softirq gets more cores;
+	// the unequal classes are the source of FALCON's uneven per-core load
+	// (paper Fig. 12). The other plans place groups at flow-relative
+	// offsets.
 	starts, sizes := falconClasses(plan, sc.KernelCores)
 	coreFor := func(i int, g steering.Group) *sim.Core {
 		if !plan.Handoff {

@@ -261,19 +261,3 @@ func (a *Accountant) Pressure() int {
 		return PressureNone
 	}
 }
-
-// Bytes / SKBs return the live charge.
-func (a *Accountant) Bytes() int {
-	if a == nil {
-		return 0
-	}
-	return a.bytes
-}
-
-// SKBs returns the live skb count.
-func (a *Accountant) SKBs() int {
-	if a == nil {
-		return 0
-	}
-	return a.skbs
-}

@@ -56,8 +56,8 @@ func TestAccountantChargeRelease(t *testing.T) {
 	if a.AdmissionDropped != 1 {
 		t.Errorf("AdmissionDropped = %d, want 1", a.AdmissionDropped)
 	}
-	if a.Bytes() != 3000 || a.SKBs() != 2 || a.PeakBytes != 3000 {
-		t.Errorf("account state bytes=%d skbs=%d peak=%d", a.Bytes(), a.SKBs(), a.PeakBytes)
+	if a.bytes != 3000 || a.skbs != 2 || a.PeakBytes != 3000 {
+		t.Errorf("account state bytes=%d skbs=%d peak=%d", a.bytes, a.skbs, a.PeakBytes)
 	}
 	// GRO growth after admission must not unbalance the account: the skb
 	// releases the stamped charge, not its current WireLen.
@@ -65,8 +65,8 @@ func TestAccountantChargeRelease(t *testing.T) {
 	a.Release(s1)
 	a.Release(s1) // double release is a no-op
 	a.Release(s2)
-	if a.Bytes() != 0 || a.SKBs() != 0 {
-		t.Errorf("account did not drain: bytes=%d skbs=%d", a.Bytes(), a.SKBs())
+	if a.bytes != 0 || a.skbs != 0 {
+		t.Errorf("account did not drain: bytes=%d skbs=%d", a.bytes, a.skbs)
 	}
 	if a.Charged != 2 || a.Released != 2 {
 		t.Errorf("charged=%d released=%d, want 2/2", a.Charged, a.Released)
@@ -100,7 +100,7 @@ func TestAccountantNilSafe(t *testing.T) {
 		t.Error("nil accountant must admit everything")
 	}
 	a.Release(s)
-	if a.Pressure() != PressureNone || a.Usage() != 0 || a.Bytes() != 0 || a.SKBs() != 0 {
+	if a.Pressure() != PressureNone || a.Usage() != 0 {
 		t.Error("nil accountant must report zero state")
 	}
 }

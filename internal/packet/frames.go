@@ -14,15 +14,6 @@ const (
 	InnerTCPHeaderLen = EthernetHeaderLen + IPv4HeaderLen + TCPHeaderLen
 )
 
-// BuildUDPFrame assembles a complete inner Ethernet/IPv4/UDP frame carrying
-// payload from src to dst.
-func BuildUDPFrame(src, dst FlowAddr, ipID uint16, payload []byte) []byte {
-	buf := make([]byte, InnerUDPHeaderLen+len(payload))
-	copy(buf[InnerUDPHeaderLen:], payload)
-	BuildUDPFrameInPlace(buf[:InnerUDPHeaderLen], src, dst, ipID, len(payload))
-	return buf
-}
-
 // BuildUDPFrameInPlace writes the inner Ethernet/IPv4/UDP headers for a
 // payload of payloadLen bytes into hdr (exactly InnerUDPHeaderLen bytes).
 // On the zero-copy path hdr is skb headroom immediately preceding a
@@ -49,18 +40,8 @@ func BuildUDPFrameInPlace(hdr []byte, src, dst FlowAddr, ipID uint16, payloadLen
 	}
 }
 
-// BuildTCPFrame assembles a complete inner Ethernet/IPv4/TCP frame carrying
-// payload from src to dst with the given sequence number.
-func BuildTCPFrame(src, dst FlowAddr, ipID uint16, seq, ack uint32, flags byte, payload []byte) []byte {
-	buf := make([]byte, InnerTCPHeaderLen+len(payload))
-	copy(buf[InnerTCPHeaderLen:], payload)
-	BuildTCPFrameInPlace(buf[:InnerTCPHeaderLen], src, dst, ipID, seq, ack, flags, len(payload))
-	return buf
-}
-
 // BuildTCPFrameInPlace writes the inner Ethernet/IPv4/TCP headers for a
-// payload of payloadLen bytes into hdr (exactly InnerTCPHeaderLen bytes);
-// the in-place counterpart of BuildTCPFrame.
+// payload of payloadLen bytes into hdr (exactly InnerTCPHeaderLen bytes).
 func BuildTCPFrameInPlace(hdr []byte, src, dst FlowAddr, ipID uint16, seq, ack uint32, flags byte, payloadLen int) {
 	if len(hdr) != InnerTCPHeaderLen {
 		panic("packet: BuildTCPFrameInPlace hdr must be InnerTCPHeaderLen bytes")

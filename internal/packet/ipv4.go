@@ -15,11 +15,8 @@ type IPv4 struct {
 	Dst      IPv4Addr
 }
 
-// IPv4 flag bits.
-const (
-	FlagDF = 0x2
-	FlagMF = 0x1
-)
+// FlagDF is the IPv4 don't-fragment flag bit.
+const FlagDF = 0x2
 
 // Checksum computes the Internet checksum (RFC 1071) over b, which must be
 // the region to cover with its checksum field zeroed (or included, in which

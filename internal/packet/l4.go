@@ -48,14 +48,8 @@ type TCP struct {
 	Window  uint16
 }
 
-// TCP flag bits.
-const (
-	TCPFin = 0x01
-	TCPSyn = 0x02
-	TCPRst = 0x04
-	TCPPsh = 0x08
-	TCPAck = 0x10
-)
+// TCPAck is the TCP ACK flag bit.
+const TCPAck = 0x10
 
 // Marshal appends the 20-byte header to buf.
 func (t *TCP) Marshal(buf []byte) []byte {

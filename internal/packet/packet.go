@@ -23,10 +23,6 @@ const (
 	// VXLANPort is the IANA-assigned UDP destination port for VxLAN.
 	VXLANPort = 4789
 
-	// MTU is the standard Ethernet payload limit used throughout the
-	// experiments (the paper's testbed uses 1500-byte MTU).
-	MTU = 1500
-
 	// OverlayOverhead is the extra bytes VxLAN encapsulation adds to every
 	// frame: outer Ethernet + outer IPv4 + outer UDP + VxLAN header.
 	OverlayOverhead = EthernetHeaderLen + IPv4HeaderLen + UDPHeaderLen + VXLANHeaderLen

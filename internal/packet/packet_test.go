@@ -108,7 +108,7 @@ func TestUDPRoundtrip(t *testing.T) {
 }
 
 func TestTCPRoundtrip(t *testing.T) {
-	h := TCP{SrcPort: 443, DstPort: 33000, Seq: 1 << 30, Ack: 77, Flags: TCPAck | TCPPsh, Window: 4096}
+	h := TCP{SrcPort: 443, DstPort: 33000, Seq: 1 << 30, Ack: 77, Flags: TCPAck | 0x08 /* PSH */, Window: 4096}
 	buf := h.Marshal(nil)
 	if len(buf) != TCPHeaderLen {
 		t.Fatalf("header len %d, want %d", len(buf), TCPHeaderLen)

@@ -27,21 +27,12 @@ func ParseVXLAN(b []byte) (VXLAN, []byte, error) {
 	return VXLAN{VNI: binary.BigEndian.Uint32(b[4:8]) >> 8}, b[8:], nil
 }
 
-// EncapVXLAN wraps an inner Ethernet frame in outer Ethernet/IPv4/UDP/VxLAN
-// headers, exactly as the kernel's vxlan device does on transmit. The outer
-// UDP source port is derived from a hash of the inner frame (flow entropy
-// for RSS/ECMP, per RFC 7348 §5); the outer UDP checksum is zero as is
-// conventional for VxLAN over IPv4.
-func EncapVXLAN(outerSrcMAC, outerDstMAC MAC, outerSrc, outerDst IPv4Addr, vni uint32, ipID uint16, inner []byte) []byte {
-	buf := make([]byte, OverlayOverhead+len(inner))
-	copy(buf[OverlayOverhead:], inner)
-	EncapVXLANInPlace(buf[:OverlayOverhead], outerSrcMAC, outerDstMAC, outerSrc, outerDst, vni, ipID, buf[OverlayOverhead:])
-	return buf
-}
-
 // EncapVXLANInPlace writes the outer Ethernet/IPv4/UDP/VxLAN headers for
-// inner into hdr — the marshal-into-prefix form of EncapVXLAN. hdr must be
-// exactly OverlayOverhead bytes; on the zero-copy path it is the headroom
+// inner into hdr, exactly as the kernel's vxlan device does on transmit.
+// The outer UDP source port is derived from a hash of the inner frame (flow
+// entropy for RSS/ECMP, per RFC 7348 §5); the outer UDP checksum is zero as
+// is conventional for VxLAN over IPv4. hdr must be exactly OverlayOverhead
+// bytes; on the zero-copy path it is the headroom
 // an skb.Push(OverlayOverhead) just exposed immediately in front of inner,
 // so encapsulation is pure offset arithmetic plus a 50-byte header write,
 // with no allocation and no payload copy (the kernel's skb_push shape).
@@ -76,7 +67,7 @@ func EncapVXLANInPlace(hdr []byte, outerSrcMAC, outerDstMAC MAC, outerSrc, outer
 
 // DecapVXLAN validates and strips the outer Ethernet/IPv4/UDP/VxLAN headers
 // of frame, returning the VNI and the inner Ethernet frame. It is the
-// receive-side counterpart of EncapVXLAN.
+// receive-side counterpart of EncapVXLANInPlace.
 func DecapVXLAN(frame []byte) (vni uint32, inner []byte, err error) {
 	_, p, err := ParseEthernet(frame)
 	if err != nil {

@@ -9,13 +9,21 @@ import (
 	"mflow/internal/sim"
 )
 
+// udpFrame builds a complete inner Ethernet/IPv4/UDP frame carrying payload.
+func udpFrame(src, dst packet.FlowAddr, ipID uint16, payload []byte) []byte {
+	buf := make([]byte, packet.InnerUDPHeaderLen+len(payload))
+	copy(buf[packet.InnerUDPHeaderLen:], payload)
+	packet.BuildUDPFrameInPlace(buf[:packet.InnerUDPHeaderLen], src, dst, ipID, len(payload))
+	return buf
+}
+
 func TestRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	src := packet.FlowAddr{MAC: packet.MAC{2, 0, 0, 0, 0, 1}, IP: packet.Addr4(10, 0, 0, 1), Port: 1}
 	dst := packet.FlowAddr{MAC: packet.MAC{2, 0, 0, 0, 0, 2}, IP: packet.Addr4(10, 0, 0, 2), Port: 2}
-	f1 := packet.BuildUDPFrame(src, dst, 1, []byte("hello"))
-	f2 := packet.BuildUDPFrame(src, dst, 2, []byte("world!!"))
+	f1 := udpFrame(src, dst, 1, []byte("hello"))
+	f2 := udpFrame(src, dst, 2, []byte("world!!"))
 
 	if err := w.WritePacket(sim.Time(1_500_000), f1); err != nil {
 		t.Fatal(err)

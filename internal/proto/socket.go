@@ -92,9 +92,6 @@ func (s *Socket) AddCopyThread(core *sim.Core, copyCost netdev.Cost, queueCap in
 	s.extra = append(s.extra, w)
 }
 
-// CopyThreads returns the number of delivery threads (>= 1).
-func (s *Socket) CopyThreads() int { return 1 + len(s.extra) }
-
 // Enqueue places an in-order skb on the receive queue (round-robin across
 // copy threads when parallel delivery is enabled). It reports false if the
 // bounded queue overflowed (datagram dropped).

@@ -207,9 +207,6 @@ func (r *TCPReceiver) pruneOFO() {
 	}
 }
 
-// Pending returns the current out-of-order queue depth.
-func (r *TCPReceiver) Pending() int { return len(r.ooo) }
-
 // UDPReceiver is the connectionless counterpart: it delivers every datagram
 // immediately (no ordering contract) but records how many arrived out of
 // order — the "poor user experience" the paper attributes to UDP reordering.

@@ -17,8 +17,8 @@ func TestTCPReceiverKeepsFirstDuplicateParked(t *testing.T) {
 	second := seg(2, 1)
 	r.Rx(first, nil)
 	r.Rx(second, nil)
-	if r.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", r.Pending())
+	if len(r.ooo) != 1 {
+		t.Fatalf("pending = %d, want 1", len(r.ooo))
 	}
 	if r.DupSegments != 1 || r.OOOArrivals != 1 {
 		t.Fatalf("dup=%d ooo=%d, want 1/1", r.DupSegments, r.OOOArrivals)
@@ -62,8 +62,8 @@ func TestTCPReceiverPrunesOFOQueue(t *testing.T) {
 	r.Rx(seg(5, 1), nil)
 	r.Rx(seg(3, 1), nil)
 	r.Rx(seg(9, 1), nil) // exceeds the cap: the highest sequence goes
-	if r.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", r.Pending())
+	if len(r.ooo) != 2 {
+		t.Fatalf("pending = %d, want 2", len(r.ooo))
 	}
 	if r.OFOPruned != 1 {
 		t.Fatalf("OFOPruned = %d, want 1", r.OFOPruned)
@@ -84,8 +84,8 @@ func TestTCPReceiverSweepsStraddledParked(t *testing.T) {
 	r.Rx(seg(3, 2), nil) // parked [3,5)
 	r.Rx(seg(4, 2), nil) // parked [4,6) — overlaps the first
 	r.Rx(seg(0, 3), nil) // fills [0,3): drain delivers [3,5), straddling key 4
-	if r.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0 (straddled entry swept)", r.Pending())
+	if len(r.ooo) != 0 {
+		t.Fatalf("pending = %d, want 0 (straddled entry swept)", len(r.ooo))
 	}
 	if r.DupSegments != 2 {
 		t.Fatalf("DupSegments = %d, want 2 (the swept skb's segments)", r.DupSegments)

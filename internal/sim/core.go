@@ -47,17 +47,11 @@ type Core struct {
 	// map lookup when consecutive Execs charge the same tag — batch loops
 	// always do, and the constant tag strings make the equality check a
 	// pointer compare.
-	tagIdx  map[string]int
-	tagVals []Duration
-	lastTag string
-	lastIdx int
-	// tagsSorted mirrors the tag set in sorted order, maintained
-	// incrementally on first sight of each tag. The working set of tags is
-	// tiny (a handful of stage names) and almost every Exec hits an
-	// existing tag, so keeping the list sorted here makes Tags() a copy
-	// instead of an O(n log n) sort per call.
-	tagsSorted []string
-	busyTotal  Duration
+	tagIdx    map[string]int
+	tagVals   []Duration
+	lastTag   string
+	lastIdx   int
+	busyTotal Duration
 }
 
 // NewCore returns a core with nominal speed attached to sched.
@@ -122,7 +116,6 @@ func (c *Core) Exec(d Duration, tag string) (start, end Time) {
 			idx = len(c.tagVals)
 			c.tagVals = append(c.tagVals, 0)
 			c.tagIdx[tag] = idx
-			c.insertTag(tag)
 		}
 		c.lastTag, c.lastIdx = tag, idx
 	}
@@ -144,28 +137,6 @@ func (c *Core) BusyByTag() map[string]Duration {
 		out[k] = c.tagVals[idx]
 	}
 	return out
-}
-
-// insertTag places a first-seen tag at its sorted position in tagsSorted
-// (binary search + shift; the list holds a handful of stage names).
-func (c *Core) insertTag(tag string) {
-	lo, hi := 0, len(c.tagsSorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.tagsSorted[mid] < tag {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	c.tagsSorted = append(c.tagsSorted, "")
-	copy(c.tagsSorted[lo+1:], c.tagsSorted[lo:])
-	c.tagsSorted[lo] = tag
-}
-
-// Tags returns the accounting tags seen so far, sorted.
-func (c *Core) Tags() []string {
-	return append([]string(nil), c.tagsSorted...)
 }
 
 // Utilization returns the fraction of the window [since, until] the core was

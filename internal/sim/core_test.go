@@ -186,15 +186,3 @@ func TestRandDistributions(t *testing.T) {
 		}
 	}
 }
-
-func TestRandPerm(t *testing.T) {
-	r := NewRand(3)
-	p := r.Perm(20)
-	seen := make(map[int]bool)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}

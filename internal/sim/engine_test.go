@@ -151,22 +151,22 @@ func TestHandlerPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Core tag accounting must not allocate on the hot Exec path once every tag
-// has been seen, and Tags() hands back an already-sorted copy.
+// Core tag accounting must charge each tag its own bucket and must not
+// allocate on the hot Exec path once every tag has been seen.
 func TestCoreTagAccounting(t *testing.T) {
 	s := NewScheduler(1)
 	c := NewCore(0, s)
-	for _, tag := range []string{"veth", "bridge", "gro", "alpha"} {
+	tags := []string{"veth", "bridge", "gro", "alpha"}
+	for _, tag := range tags {
 		c.Exec(10, tag)
 	}
-	want := []string{"alpha", "bridge", "gro", "veth"}
-	got := c.Tags()
-	if len(got) != len(want) {
-		t.Fatalf("Tags() = %v, want %v", got, want)
+	got := c.BusyByTag()
+	if len(got) != len(tags) {
+		t.Fatalf("BusyByTag() = %v, want one bucket per tag %v", got, tags)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Tags() = %v, want sorted %v", got, want)
+	for _, tag := range tags {
+		if got[tag] != 10 {
+			t.Fatalf("BusyByTag()[%q] = %v, want 10", tag, got[tag])
 		}
 	}
 	if !raceEnabled {

@@ -320,16 +320,6 @@ func (s *Scheduler) pop() event {
 	return root
 }
 
-// Pending reports the number of events waiting to run, counting every lane
-// entry (not just each lane's head).
-func (s *Scheduler) Pending() int {
-	n := len(s.events) + s.deferred
-	if s.slotFull {
-		n++
-	}
-	return n
-}
-
 // Stop makes the current Run/RunUntil call return after the event being
 // processed completes. Further events remain queued.
 func (s *Scheduler) Stop() { s.stopped = true }

@@ -190,7 +190,7 @@ func (s *SKB) Parts() int {
 	return 1 + len(s.frags)
 }
 
-// Part returns the i'th byte region: 0 is the head window, 1..NFrags are
+// Part returns the i'th byte region: 0 is the head window, 1..Parts()-1 are
 // the chained frags in merge order. Each part is one complete wire frame
 // on the GRO path.
 func (s *SKB) Part(i int) []byte {
@@ -210,9 +210,6 @@ func (s *SKB) TrimPartFront(i, n int) {
 	}
 	s.frags[i-1].view = s.frags[i-1].view[n:]
 }
-
-// NFrags returns the number of chained frags (absorbed windows).
-func (s *SKB) NFrags() int { return len(s.frags) }
 
 // Bytes returns the SKB's logical byte stream. With no frag chain this is
 // the head window itself — no copy; with frags the parts are materialized

@@ -165,8 +165,8 @@ func TestCloneDeepCopiesStream(t *testing.T) {
 	if c.Headroom() != 10 {
 		t.Errorf("clone headroom = %d, want 10 (preserved)", c.Headroom())
 	}
-	if c.NFrags() != 0 {
-		t.Errorf("clone has %d frags, want linearized 0", c.NFrags())
+	if len(c.frags) != 0 {
+		t.Errorf("clone has %d frags, want linearized 0", len(c.frags))
 	}
 	// Mutating the clone must not touch the original and vice versa.
 	c.Data[0] = 'Z'

@@ -38,7 +38,7 @@ func FuzzSKBArena(f *testing.F) {
 		pool := &Pool{}
 		s := pool.Get()
 		ref := &refSKB{}
-		fill := byte(1) // deterministic content generator, never PoisonByte
+		fill := byte(1) // deterministic content generator, never poisonByte
 
 		next := func(i *int) int {
 			if *i >= len(ops) {
@@ -52,7 +52,7 @@ func FuzzSKBArena(f *testing.F) {
 			for i := range b {
 				b[i] = fill
 				fill++
-				if PoisonEnabled && fill == PoisonByte {
+				if poisonEnabled && fill == poisonByte {
 					fill++
 				}
 			}
@@ -70,8 +70,8 @@ func FuzzSKBArena(f *testing.F) {
 			if got, want := s.Bytes(), ref.stream(); !bytes.Equal(got, want) {
 				t.Fatalf("%s: stream %v, reference %v", op, got, want)
 			}
-			if s.NFrags() != len(ref.frags) {
-				t.Fatalf("%s: %d frags, reference %d", op, s.NFrags(), len(ref.frags))
+			if len(s.frags) != len(ref.frags) {
+				t.Fatalf("%s: %d frags, reference %d", op, len(s.frags), len(ref.frags))
 			}
 			if s.buf != nil && s.Headroom()+len(s.Data)+s.Tailroom() != len(s.buf) {
 				t.Fatalf("%s: headroom %d + window %d + tailroom %d != arena %d",
@@ -151,10 +151,10 @@ func FuzzSKBArena(f *testing.F) {
 			case 7: // pool round trip: reuse must be logically zero, arena poisoned
 				arena := s.buf
 				pool.Put(s)
-				if PoisonEnabled {
+				if poisonEnabled {
 					for j, b := range arena[:cap(arena)] {
-						if b != PoisonByte {
-							t.Fatalf("arena[%d] = %#x after Put, want PoisonByte", j, b)
+						if b != poisonByte {
+							t.Fatalf("arena[%d] = %#x after Put, want poisonByte", j, b)
 						}
 					}
 				}

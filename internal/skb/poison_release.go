@@ -2,13 +2,13 @@
 
 package skb
 
-// PoisonEnabled reports whether Pool.Put scribbles over recycled SKBs.
+// poisonEnabled reports whether Pool.Put scribbles over recycled SKBs.
 // Release builds skip the scribble; Get fully zeroes on reuse either way.
-const PoisonEnabled = false
+const poisonEnabled = false
 
-// PoisonByte matches the debug builds' arena scribble value so code may
+// poisonByte matches the debug builds' arena scribble value so code may
 // reference it unconditionally; release builds never write it.
-const PoisonByte = 0xA5
+const poisonByte = 0xA5
 
 func poison(*SKB) {}
 

@@ -12,8 +12,8 @@ import (
 // poisoning is invisible to correct code — pooled and unpooled runs stay
 // bit-identical.
 func TestPutPoisonsRecycledSKB(t *testing.T) {
-	if !PoisonEnabled {
-		t.Fatal("PoisonEnabled must be true under this build tag")
+	if !poisonEnabled {
+		t.Fatal("poisonEnabled must be true under this build tag")
 	}
 	p := &Pool{}
 	s := p.Get()
@@ -23,13 +23,13 @@ func TestPutPoisonsRecycledSKB(t *testing.T) {
 	p.Put(s)
 
 	// s is now a stale reference; every field must read as poison.
-	if s.FlowID != PoisonU64 || s.Seq != PoisonU64 || s.MsgID != PoisonU64 {
+	if s.FlowID != poisonU64 || s.Seq != poisonU64 || s.MsgID != poisonU64 {
 		t.Errorf("stale u64 fields not poisoned: %+v", s)
 	}
-	if s.Segs != PoisonInt || s.WireLen != PoisonInt || s.Branch != PoisonInt {
+	if s.Segs != poisonInt || s.WireLen != poisonInt || s.Branch != poisonInt {
 		t.Errorf("stale int fields not poisoned: %+v", s)
 	}
-	if s.SentAt != PoisonTime || s.ArrivedAt != PoisonTime {
+	if s.SentAt != poisonTime || s.ArrivedAt != poisonTime {
 		t.Errorf("stale time fields not poisoned: %+v", s)
 	}
 	if s.LastStage != "POISONED" {
@@ -51,7 +51,7 @@ func TestPutPoisonsRecycledSKB(t *testing.T) {
 
 // Put scribbles the FULL arena — headroom, window and tailroom, plus every
 // arena chained by GRO merges — so a stale view into recycled backing
-// bytes reads PoisonByte, never plausible stale wire bytes.
+// bytes reads poisonByte, never plausible stale wire bytes.
 func TestPutPoisonsFullArena(t *testing.T) {
 	p := &Pool{}
 	s := p.Get()
@@ -74,18 +74,18 @@ func TestPutPoisonsFullArena(t *testing.T) {
 	p.Put(s)
 
 	for i, b := range arena {
-		if b != PoisonByte {
-			t.Fatalf("arena[%d] = %#x after Put, want PoisonByte", i, b)
+		if b != poisonByte {
+			t.Fatalf("arena[%d] = %#x after Put, want poisonByte", i, b)
 		}
 	}
 	for i, b := range window {
-		if b != PoisonByte {
-			t.Fatalf("stale window[%d] = %#x after Put, want PoisonByte", i, b)
+		if b != poisonByte {
+			t.Fatalf("stale window[%d] = %#x after Put, want poisonByte", i, b)
 		}
 	}
 	for i, b := range chained {
-		if b != PoisonByte {
-			t.Fatalf("chained view[%d] = %#x after Put, want PoisonByte", i, b)
+		if b != poisonByte {
+			t.Fatalf("chained view[%d] = %#x after Put, want poisonByte", i, b)
 		}
 	}
 }

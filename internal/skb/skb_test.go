@@ -92,7 +92,7 @@ func TestMergeChainTransfersToNewHead(t *testing.T) {
 	if string(a.Bytes()) != "\x01\x02\x03" {
 		t.Errorf("stream after chained merge: %v", a.Bytes())
 	}
-	if b.NFrags() != 0 || b.Data != nil {
+	if len(b.frags) != 0 || b.Data != nil {
 		t.Error("absorbed skb kept its chain")
 	}
 }

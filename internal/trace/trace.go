@@ -121,40 +121,6 @@ func (t *Tracer) Journey(flowID, seq uint64) []Event {
 	return out
 }
 
-// JourneyPkt returns the events of one physical arrival, keyed by the
-// monotonic packet id, in time order. Unlike Journey (a coverage query over
-// (flow, seq), which conflates a retransmission with the original and any
-// GRO super-packet spanning the seq), JourneyPkt never aliases: pool reuse
-// hands the recycled skb a fresh PktID at the NIC.
-func (t *Tracer) JourneyPkt(pkt uint64) []Event {
-	if t == nil || pkt == 0 {
-		return nil
-	}
-	var out []Event
-	for _, e := range t.events {
-		if e.Pkt == pkt {
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// RenderJourneyPkt formats one physical arrival's journey as a timeline.
-func (t *Tracer) RenderJourneyPkt(pkt uint64) string {
-	events := t.JourneyPkt(pkt)
-	if len(events) == 0 {
-		return fmt.Sprintf("pkt %d: no events\n", pkt)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "pkt %d (flow %d seq %d):\n", pkt, events[0].FlowID, events[0].Seq)
-	t0 := events[0].At
-	for _, e := range events {
-		fmt.Fprintf(&b, "  +%-12v %-10s core %d\n", e.At.Sub(t0), e.Stage, e.Core)
-	}
-	return b.String()
-}
-
 // Stages returns the distinct stage names seen, sorted.
 func (t *Tracer) Stages() []string {
 	seen := map[string]bool{}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestJourneySameInstantStableOrder(t *testing.T) {
 // TestJourneyPktNoPoolAliasing is the pool-reuse regression: a recycled skb
 // carrying the same (flow, seq) — a retransmission through a reused buffer —
 // aliases under the coverage-query Journey but stays two distinct arrivals
-// under JourneyPkt, which keys on the monotonic packet id the NIC assigns
+// under journeyPkt, which keys on the monotonic packet id the NIC assigns
 // per physical arrival.
 func TestJourneyPktNoPoolAliasing(t *testing.T) {
 	tr := New()
@@ -152,26 +153,39 @@ func TestJourneyPktNoPoolAliasing(t *testing.T) {
 	if n := len(tr.Journey(1, 0)); n != 4 {
 		t.Fatalf("coverage query conflates the arrivals into %d events (expected 4: the documented aliasing)", n)
 	}
-	j7, j9 := tr.JourneyPkt(7), tr.JourneyPkt(9)
+	j7, j9 := journeyPkt(tr, 7), journeyPkt(tr, 9)
 	if len(j7) != 2 || len(j9) != 2 {
-		t.Fatalf("JourneyPkt split = %d + %d events, want 2 + 2", len(j7), len(j9))
+		t.Fatalf("journeyPkt split = %d + %d events, want 2 + 2", len(j7), len(j9))
 	}
 	if j7[1].At != 300 || j9[1].At != 900 {
 		t.Errorf("journeys mixed up: pkt7 ends at %v, pkt9 at %v", j7[1].At, j9[1].At)
 	}
 	for i := 1; i < len(j9); i++ {
 		if j9[i].At < j9[i-1].At {
-			t.Fatal("JourneyPkt not time-ordered")
+			t.Fatal("journeyPkt not time-ordered")
 		}
 	}
 
-	if tr.JourneyPkt(0) != nil {
-		t.Error("pkt 0 is the unassigned sentinel; JourneyPkt(0) must return nothing")
+	if journeyPkt(tr, 0) != nil {
+		t.Error("pkt 0 is the unassigned sentinel; journeyPkt(0) must return nothing")
 	}
-	r := tr.RenderJourneyPkt(9)
-	for _, want := range []string{"pkt 9", "nic", "socket"} {
-		if !strings.Contains(r, want) {
-			t.Errorf("render missing %q:\n%s", want, r)
+}
+
+// journeyPkt returns the events of one physical arrival, keyed by the
+// monotonic packet id, in time order. Unlike Journey (a coverage query over
+// (flow, seq), which conflates a retransmission with the original and any
+// GRO super-packet spanning the seq), journeyPkt never aliases: pool reuse
+// hands the recycled skb a fresh PktID at the NIC.
+func journeyPkt(t *Tracer, pkt uint64) []Event {
+	if pkt == 0 {
+		return nil
+	}
+	var out []Event
+	for _, e := range t.events {
+		if e.Pkt == pkt {
+			out = append(out, e)
 		}
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
 }

@@ -75,8 +75,8 @@ func TestFastRetransmitRecoversSingleLoss(t *testing.T) {
 	if rx.Expected < 100 {
 		t.Fatalf("flow stalled: Expected = %d after 5ms", rx.Expected)
 	}
-	if rx.Pending() != 0 {
-		t.Fatalf("ooo queue not drained: %d parked", rx.Pending())
+	if m := rx.Missing(1); len(m) != 0 {
+		t.Fatalf("ooo queue not drained: hole at %d", m[0])
 	}
 }
 
@@ -123,8 +123,8 @@ func TestBurstLossAllSegmentsEventuallyDelivered(t *testing.T) {
 	if rx.Expected < 200 {
 		t.Fatalf("flow did not recover from burst loss: Expected = %d", rx.Expected)
 	}
-	if rx.Pending() != 0 {
-		t.Fatalf("ooo queue not drained: %d parked", rx.Pending())
+	if m := rx.Missing(1); len(m) != 0 {
+		t.Fatalf("ooo queue not drained: hole at %d", m[0])
 	}
 	// Coverage must be contiguous: count delivered segments == Expected.
 	var segs uint64
@@ -181,8 +181,8 @@ func TestSACKSweepRepairsScatteredLossInOneRound(t *testing.T) {
 	if rx.Expected < 200 {
 		t.Fatalf("flow stalled: Expected = %d", rx.Expected)
 	}
-	if rx.Pending() != 0 {
-		t.Fatalf("ooo queue not drained: %d parked", rx.Pending())
+	if m := rx.Missing(1); len(m) != 0 {
+		t.Fatalf("ooo queue not drained: hole at %d", m[0])
 	}
 	if tx.Retransmits < 5 {
 		t.Fatalf("retransmits = %d, want >= 5 (one per hole)", tx.Retransmits)
@@ -211,7 +211,7 @@ func TestSACKSweepRetriesLostRetransmission(t *testing.T) {
 	if rx.Expected < 100 {
 		t.Fatalf("flow never recovered a thrice-lost segment: Expected = %d", rx.Expected)
 	}
-	if rx.Pending() != 0 {
-		t.Fatalf("ooo queue not drained: %d parked", rx.Pending())
+	if m := rx.Missing(1); len(m) != 0 {
+		t.Fatalf("ooo queue not drained: hole at %d", m[0])
 	}
 }
